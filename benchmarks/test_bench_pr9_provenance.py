@@ -9,7 +9,7 @@ Headline groups feeding the committed ``BENCH_PR9.json`` baseline:
 - per-engine earnings from the oracle-steered run: mutations spent,
   edges/bugs earned, and the dead-mutation share per engine/slot;
 - the continuous-profiling gauges: virtual executions per virtual
-  second (the vectorization baseline for later perf work, tagged
+  second (a cost-model check, not host throughput, tagged
   lower-is-worse) plus the per-phase time shares
   (mutate/exec/triage/hub_sync) — deterministic because they derive
   from the virtual clock's charge ledger, not wall time.
@@ -116,9 +116,9 @@ def test_bench_pr9_provenance_gate(benchmark):
         "bench.provenance.edges_attributed_fraction": round(
             edge_fraction, 4
         ),
-        # The vectorization baseline: virtual executions per virtual
-        # second, a pure function of the seed (tagged lower-is-worse
-        # via the execs_per_vsecond key).
+        # A cost-model check: virtual executions per virtual second, a
+        # pure function of the seed (tagged lower-is-worse via the
+        # execs_per_vsecond key).  Host speed is measured by bench/.
         "bench.provenance.execs_per_vsecond": round(execs_per_vsecond, 4),
         "bench.provenance.entries": float(len(log.records)),
         "bench.provenance.bugs": float(len(bug_chains)),

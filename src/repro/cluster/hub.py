@@ -185,7 +185,7 @@ class CorpusHub:
             self.epoch += 1
             self.entries.append(
                 HubEntry(
-                    program=entry.program.clone(),
+                    program=entry.program,
                     coverage=entry.coverage.copy(),
                     signal=entry.signal,
                     hints=frozenset(entry.hints),

@@ -159,7 +159,7 @@ class ShardedHub(CorpusHub):
                 lineage = self.provenance.record(lineage)
             self._admit(
                 HubEntry(
-                    program=entry.program.clone(),
+                    program=entry.program,
                     coverage=entry.coverage.copy(),
                     signal=entry.signal,
                     hints=frozenset(entry.hints),

@@ -100,7 +100,7 @@ def fuzz_corpus(
     uncovered: set[int] = set(kernel.blocks)
     covered: set[int] = set()
     desired = set(kernel.blocks) if targets is None else set(targets)
-    report = FuzzReport(corpus=[program.clone() for program in corpus])
+    report = FuzzReport(corpus=list(corpus))
 
     while not desired <= covered and report.executions < max_executions:
         test, target = choose_test(

@@ -54,9 +54,13 @@ class Corpus:
         hints: frozenset[int] = frozenset(),
         lineage=None,
     ) -> CorpusEntry:
-        """Admit a (cloned) test with its coverage and KCOV_CMP hints."""
+        """Admit a test with its coverage and KCOV_CMP hints.
+
+        The program is stored as is, not copied: programs are values
+        (see :class:`~repro.syzlang.program.Program`).
+        """
         entry = CorpusEntry(
-            program=program.clone(), coverage=coverage.copy(),
+            program=program, coverage=coverage.copy(),
             signal=signal, hints=hints, lineage=lineage,
         )
         self.entries.append(entry)

@@ -87,7 +87,7 @@ class CrashTriage:
             signature=description,
             category=categorize_description(description),
             is_new=description not in self.known_signatures,
-            crashing_program=program.clone(),
+            crashing_program=program,
             bug_id=report.bug.bug_id,
         )
         self._seen[description] = crash
@@ -119,7 +119,7 @@ class CrashTriage:
 
     def _minimize(self, program: Program, bug_id: str) -> Program:
         """Greedy call removal while the crash persists."""
-        current = program.clone()
+        current = program
         index = len(current) - 1
         while index >= 0 and len(current) > 1:
             candidate = current.clone()

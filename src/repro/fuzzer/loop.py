@@ -420,9 +420,9 @@ class FuzzLoop:
                         f"time.share.{label}", **self.stats.labels
                     ).set(round(seconds / total, 6))
             if total > 0:
-                # The vectorization baseline: simulated executions per
-                # virtual second (direction-tagged lower-is-worse in
-                # `flag_regressions`).
+                # Simulated executions per virtual second: a cost-model
+                # check (CostModel fixes it), not host throughput; see
+                # bench/ for wall-clock measurements.
                 registry.gauge(
                     "fuzz.execs_per_vsecond", **self.stats.labels
                 ).set(round(self.stats.executions / total, 6))

@@ -409,12 +409,12 @@ def run_coverage_campaign(
             kernel.table, split(run_seed, "seed-corpus")
         ).seed_corpus(config.seed_corpus_size)
         syz = _build_syzkaller_loop(kernel, run_seed, config)
-        syz.seed([program.clone() for program in seeds])
+        syz.seed(seeds)
         syzkaller_runs.append(syz.run())
         snow = _build_snowplow_loop(
             kernel, trained, run_seed, config, oracle=oracle
         )
-        snow.seed([program.clone() for program in seeds])
+        snow.seed(seeds)
         snowplow_runs.append(snow.run())
     return CoverageCampaignResult(
         kernel_version=kernel.version,
@@ -481,11 +481,11 @@ def run_crash_campaign(
             kernel.table, split(run_seed, "seed-corpus")
         ).seed_corpus(config.seed_corpus_size)
         syz = _build_syzkaller_loop(kernel, run_seed, config)
-        syz.seed([program.clone() for program in seeds])
+        syz.seed(seeds)
         syz_stats = syz.run()
         syzkaller_crashes.append(list(syz_stats.crashes))
         snow = _build_snowplow_loop(kernel, trained, run_seed, config)
-        snow.seed([program.clone() for program in seeds])
+        snow.seed(seeds)
         snow_stats = snow.run()
         if reproduce:
             for crash in snow_stats.crashes:
@@ -571,7 +571,7 @@ def run_fault_tolerance_campaign(
 
     # Reference: the same seed with nothing failing.
     clean = _build_snowplow_loop(kernel, trained, run_seed, config)
-    clean.seed([program.clone() for program in seeds])
+    clean.seed(seeds)
     fault_free = clean.run()
 
     # Degraded: same seed, same construction, faults injected.  Only
@@ -583,7 +583,7 @@ def run_fault_tolerance_campaign(
         kernel, trained, run_seed, config, injector=injector,
         observer=observer,
     )
-    loop.seed([program.clone() for program in seeds])
+    loop.seed(seeds)
     store = (
         CheckpointStore(checkpoint_dir, injector=injector)
         if checkpoint_dir is not None else None
@@ -619,7 +619,7 @@ def run_fault_tolerance_campaign(
                 # Crashed before the first checkpoint: restart from the
                 # seed corpus, which is all a worker with no durable
                 # state can do.
-                loop.seed([program.clone() for program in seeds])
+                loop.seed(seeds)
                 loop.stats.resumes += 1
             resumed = True
             continue
@@ -786,7 +786,7 @@ def build_cluster(
                 injector=injector, service=tier.view(index),
                 observer=observer, worker=index,
             )
-        loop.seed([program.clone() for program in seeds])
+        loop.seed(seeds)
         return loop
 
     workers = []
@@ -1257,7 +1257,7 @@ def run_directed_campaign(
                     mutation_overhead=overhead,
                     analysis=analysis,
                 )
-                fuzzer.seed([program.clone() for program in seeds])
+                fuzzer.seed(seeds)
                 per_mode[mode].append(fuzzer.run())
         results[target] = per_mode
     return results
@@ -1329,7 +1329,7 @@ def run_patch_campaign(
         new_kernel, None, run_seed, config, oracle=True,
         director=plain_director,
     )
-    plain_loop.seed([program.clone() for program in seeds])
+    plain_loop.seed(seeds)
     plain_stats = plain_loop.run()
 
     directed_director = PatchDirector(new_kernel, manifest)
@@ -1337,7 +1337,7 @@ def run_patch_campaign(
         new_kernel, None, run_seed, config, oracle=True,
         director=directed_director,
     )
-    directed_loop.seed([program.clone() for program in seeds])
+    directed_loop.seed(seeds)
     directed_stats = directed_loop.run()
 
     return PatchCampaignResult(

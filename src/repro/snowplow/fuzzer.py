@@ -523,7 +523,7 @@ class SnowplowLoop(FuzzLoop):
         if targets is None:
             return
         ready = self.service.submit(
-            (program.clone(), coverage, targets, hints), self.clock.now
+            (program, coverage, targets, hints), self.clock.now
         )
         if ready is None:
             # Queue full or breaker open: this query's localization is

@@ -2,7 +2,7 @@
 
 A :class:`Program` is a short sequence of system-call invocations, each
 carrying a tree of concrete argument values shaped by its
-:class:`~repro.syzlang.spec.SyscallSpec`.  Programs support deep cloning,
+:class:`~repro.syzlang.spec.SyscallSpec`.  Programs support cloning,
 validation, insertion/removal of calls with resource fix-up, and — most
 importantly for the paper — enumeration of every *mutation site*: each
 mutable leaf argument, however deeply nested, addressed by an
@@ -11,7 +11,6 @@ mutable leaf argument, however deeply nested, addressed by an
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.errors import ProgramError
@@ -71,12 +70,17 @@ class ArgPath:
 
 
 class Value:
-    """Base class of all concrete argument values."""
+    """Base class of all concrete argument values.
+
+    Types are frozen and describe shape only, so a clone shares ``ty``
+    (and calls share their ``SyscallSpec``) and copies just the value
+    tree: editing the clone in place never touches the original.
+    """
 
     ty: Type
 
     def clone(self) -> "Value":
-        return copy.deepcopy(self)
+        raise NotImplementedError
 
 
 @dataclass
@@ -86,12 +90,18 @@ class IntValue(Value):
     ty: Type  # IntType | FlagsType | LenType
     value: int = 0
 
+    def clone(self) -> "IntValue":
+        return IntValue(self.ty, self.value)
+
 
 @dataclass
 class ConstValue(Value):
     """Fixed constant pinned by the spec; never mutated."""
 
     ty: ConstType
+
+    def clone(self) -> "ConstValue":
+        return ConstValue(self.ty)
 
     @property
     def value(self) -> int:
@@ -103,6 +113,9 @@ class BufferValue(Value):
     ty: BufferType
     data: bytes = b""
 
+    def clone(self) -> "BufferValue":
+        return BufferValue(self.ty, self.data)
+
 
 @dataclass
 class PtrValue(Value):
@@ -112,17 +125,29 @@ class PtrValue(Value):
     address: int = DATA_AREA_BASE
     pointee: "Value | None" = None
 
+    def clone(self) -> "PtrValue":
+        pointee = self.pointee
+        return PtrValue(
+            self.ty, self.address, None if pointee is None else pointee.clone()
+        )
+
 
 @dataclass
 class StructValue(Value):
     ty: StructType
     fields: list[Value] = field(default_factory=list)
 
+    def clone(self) -> "StructValue":
+        return StructValue(self.ty, [child.clone() for child in self.fields])
+
 
 @dataclass
 class ArrayValue(Value):
     ty: ArrayType
     elems: list[Value] = field(default_factory=list)
+
+    def clone(self) -> "ArrayValue":
+        return ArrayValue(self.ty, [child.clone() for child in self.elems])
 
 
 @dataclass
@@ -135,6 +160,9 @@ class ResourceValue(Value):
 
     ty: ResourceType
     producer: int | None = None
+
+    def clone(self) -> "ResourceValue":
+        return ResourceValue(self.ty, self.producer)
 
 
 def zero_value(ty: Type) -> Value:
@@ -230,7 +258,13 @@ def _validate_value(call: str, name: str, ty: Type, value: Value) -> None:
 
 @dataclass
 class Program:
-    """A sequence of calls — one kernel test."""
+    """A sequence of calls — one kernel test.
+
+    Programs are values: the corpus, the hubs, crash triage and the
+    inference tier hold them without copying, so code edits in place
+    only a program it has just built or cloned (as
+    :meth:`~repro.fuzzer.engine.MutationEngine.mutate_test` does).
+    """
 
     calls: list[Call] = field(default_factory=list)
 

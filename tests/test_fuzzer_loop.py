@@ -41,12 +41,16 @@ class TestCorpus:
         with pytest.raises(IndexError):
             Corpus().choose(make_rng(0))
 
-    def test_add_clones(self, generator):
+    def test_add_shares_program(self, generator):
+        """Programs are values: the corpus keeps the program it is given
+        (no defensive copy) and copies only the coverage."""
         corpus = Corpus()
         program = generator.random_program()
-        entry = corpus.add(program, Coverage.from_traces([[1, 2]]), signal=3)
-        program.calls.clear()
-        assert len(entry.program) > 0
+        coverage = Coverage.from_traces([[1, 2]])
+        entry = corpus.add(program, coverage, signal=3)
+        assert entry.program is program
+        assert entry.coverage == coverage
+        assert entry.coverage is not coverage
 
     def test_signal_weighting(self):
         corpus = Corpus()
