@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analyze.reach import AbstractValue
+from repro.errors import ProgramError
 from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.cfg import HandlerCFG
@@ -162,7 +163,7 @@ class BlockDependencies:
                 continue
             try:
                 value = program.get(path)
-            except Exception:
+            except ProgramError:
                 pending.append(path)  # slot not materialized yet
                 continue
             if isinstance(value, ResourceValue):

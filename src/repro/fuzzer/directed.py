@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, MutationError, ProgramError
 from repro.fuzzer.corpus import Corpus
 from repro.fuzzer.localizer import Localizer
 from repro.fuzzer.mutations import ArgumentInstantiator
@@ -287,7 +287,7 @@ class DirectedFuzzer:
         for path in paths:
             try:
                 self.instantiator.instantiate(mutated, path)
-            except Exception:
+            except (MutationError, ProgramError):
                 continue
         return mutated
 

@@ -1,7 +1,7 @@
 """Branch conditions of the synthetic kernel.
 
-A condition block's predicate is evaluated against the flattened argument
-values of the current system call and the live :class:`KernelState`.
+A condition block's predicate is evaluated against the scalar view of the
+current system call's arguments and the live :class:`KernelState`.
 Each condition also renders itself as assembly tokens; for argument
 conditions those tokens include the argument's *slot token*, reproducing
 the compiled-kernel property that a data-dependent branch textually
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Protocol
 
 from repro.syzlang.program import (
     BufferValue,
@@ -24,7 +25,9 @@ from repro.syzlang.program import (
 )
 from repro.syzlang.slots import slot_token
 
-__all__ = ["CondOp", "ArgCondition", "StateCondition", "imm_token"]
+__all__ = [
+    "CondOp", "ArgCondition", "ScalarArgs", "StateCondition", "imm_token",
+]
 
 
 class CondOp(enum.Enum):
@@ -58,7 +61,7 @@ def scalar_view(value: Value | None) -> int:
 
     Integers are themselves; buffers contribute their length; NULL
     pointers are 0; resources contribute their runtime handle validity
-    (resolved by the executor before condition evaluation).
+    (the executor's argument view resolves them from producer results).
     """
     if value is None:
         return 0
@@ -75,6 +78,14 @@ def scalar_view(value: Value | None) -> int:
     return 0
 
 
+class ScalarArgs(Protocol):
+    """The arguments of one call as branch conditions read them:
+    ``get(path, default)`` is the :func:`scalar_view` of the value at
+    ``path``, or ``default`` where the path leads nowhere."""
+
+    def get(self, path: tuple[int, ...], default: int = 0) -> int: ...
+
+
 @dataclass(frozen=True)
 class ArgCondition:
     """A branch on one (sub-)argument of the current call.
@@ -89,8 +100,8 @@ class ArgCondition:
     op: CondOp
     operand: int
 
-    def evaluate(self, flat_args: dict[tuple[int, ...], int], state) -> bool:
-        value = flat_args.get(self.path_elements, 0)
+    def evaluate(self, args: ScalarArgs, state) -> bool:
+        value = args.get(self.path_elements, 0)
         if self.op is CondOp.EQ:
             return value == self.operand
         if self.op is CondOp.NE:
@@ -132,7 +143,7 @@ class StateCondition:
     key: str
     operand: int = 1
 
-    def evaluate(self, flat_args: dict[tuple[int, ...], int], state) -> bool:
+    def evaluate(self, args: ScalarArgs, state) -> bool:
         return state.flags.get(self.key, 0) == self.operand
 
     def asm_tokens(self) -> tuple[str, ...]:

@@ -31,8 +31,7 @@ class Coverage:
         coverage = cls(call_traces=[list(trace) for trace in call_traces])
         for trace in call_traces:
             coverage.blocks.update(trace)
-            for src, dst in zip(trace, trace[1:]):
-                coverage.edges.add((src, dst))
+            coverage.edges.update(zip(trace, trace[1:]))
         return coverage
 
     def merge(self, other: "Coverage") -> None:

@@ -16,24 +16,29 @@ runaway or injected-hang call is reported as a structured
 is kept, the VM-restart counter ticks, and the caller charges the
 restart cost — instead of raising.  Without the watchdog the same
 condition raises :class:`~repro.errors.ExecutorHang`.
+
+Two things keep the host cost of a test low.  Each executor compiles a
+handler's CFG into a flat *step table* the first time it runs that
+handler, so interpreting a block is one dict lookup and one tuple
+unpack.  And a call's arguments are never flattened up front: branch
+conditions read them through :class:`_CallArgs`, which descends the
+value tree only along the path a condition names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ExecutionError, ExecutorHang
 from repro.faults import FaultInjector
-from repro.kernel.blocks import BlockRole
+from repro.kernel.blocks import BasicBlock, BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.bugs import CrashReport
 from repro.kernel.conditions import scalar_view
 from repro.kernel.coverage import Coverage
 from repro.kernel.state import KernelState
 from repro.rng import make_rng
-from repro.syzlang.program import Program, ResourceValue
+from repro.syzlang.program import Call, Program, ResourceValue
 
 __all__ = ["ExecResult", "ExecTimeout", "Executor"]
 
@@ -41,6 +46,55 @@ _MAX_STEPS_PER_CALL = 100_000
 # Probability that a non-reproducible (concurrency-flavoured) bug fires
 # when its guarded block is reached.
 _FLAKY_TRIGGER_PROB = 0.35
+
+# Module globals, compared against once per interpreted block.
+_CONDITION = BlockRole.CONDITION
+_BODY = BlockRole.BODY
+_ENTRY = BlockRole.ENTRY
+_CRASH = BlockRole.CRASH
+_EXIT_SUCCESS = BlockRole.EXIT_SUCCESS
+
+# One compiled block: (role, effects, condition, operand, succs, block).
+# ``operand`` is the comparison operand the block records (None when it
+# records none); ``succs`` follows the CFG convention, ``succs[0]`` not
+# taken and ``succs[1]`` taken.  A plain tuple: short-lived executors
+# (one per service restore) compile a table for nearly every call.
+_Step = tuple[
+    BlockRole,
+    tuple[tuple[str, int], ...],
+    object,
+    int | None,
+    tuple[int, ...],
+    BasicBlock,
+]
+
+
+class _CallArgs:
+    """One call's :class:`~repro.kernel.conditions.ScalarArgs`, read on
+    demand: only the paths the executed conditions name are descended.
+
+    A resource reads as its producer's return value clamped at 0 (0
+    while unwired or not yet produced), any other value as
+    :func:`scalar_view`, and a path that leads nowhere (see
+    :meth:`~repro.syzlang.program.Call.value_at`) as ``default``.
+    """
+
+    __slots__ = ("call", "retvals")
+
+    def __init__(self, call: Call, retvals: list[int]):
+        self.call = call
+        self.retvals = retvals
+
+    def get(self, path: tuple[int, ...], default: int = 0) -> int:
+        value = self.call.value_at(path)
+        if value is None:
+            return default
+        if isinstance(value, ResourceValue):
+            producer = value.producer
+            if producer is None or producer >= len(self.retvals):
+                return 0
+            return max(self.retvals[producer], 0)
+        return scalar_view(value)
 
 
 @dataclass(frozen=True)
@@ -109,6 +163,9 @@ class Executor:
         self.vm_restarts = 0
         self.profiler = profiler
         self._rng = make_rng(seed)
+        # Handler name -> (entry block, block id -> step), compiled on
+        # first use.  Kernels are never mutated once built.
+        self._tables: dict[str, tuple[int, dict[int, _Step]]] = {}
 
     def run(self, program: Program, now: float = 0.0) -> ExecResult:
         """Execute ``program`` from a fresh snapshot.
@@ -135,10 +192,10 @@ class Executor:
                 self.injector is not None
                 and self.injector.fires("executor", now)
             )
-            flat = self._resolve_scalars(program, call_index, retvals)
+            args = _CallArgs(call, retvals)
             try:
                 trace, retval, crash = self._run_call(
-                    call, flat, state, operands
+                    call, args, state, operands
                 )
             except ExecutorHang as error:
                 if not self.watchdog:
@@ -180,47 +237,51 @@ class Executor:
 
     # ----- internals -----
 
-    def _resolve_scalars(
-        self, program: Program, call_index: int, retvals: list[int]
-    ) -> dict[tuple[int, ...], int]:
-        """Scalar view of every argument path of one call.
-
-        Resource arguments resolve to the runtime handle returned by
-        their producer call (0 when the producer failed or is NULL).
-        """
-        flat: dict[tuple[int, ...], int] = {}
-        for path, value in program.walk_call(call_index):
-            if isinstance(value, ResourceValue):
-                producer = value.producer
-                if producer is None or producer >= len(retvals):
-                    flat[path.elements] = 0
-                else:
-                    flat[path.elements] = max(retvals[producer], 0)
-            else:
-                flat[path.elements] = scalar_view(value)
-        return flat
+    def _table(self, name: str) -> tuple[int, dict[int, _Step]]:
+        """The step table of handler ``name``, compiled on first use."""
+        table = self._tables.get(name)
+        if table is None:
+            cfg = self.kernel.handlers.get(name)
+            if cfg is None:
+                raise ExecutionError(
+                    f"kernel {self.kernel.version} has no handler for "
+                    f"{name!r}"
+                )
+            succs = cfg.succs
+            steps: dict[int, _Step] = {
+                block_id: (
+                    block.role, block.effects, block.condition,
+                    getattr(block.condition, "operand", None),
+                    succs.get(block_id, ()), block,
+                )
+                for block_id, block in cfg.blocks.items()
+            }
+            table = self._tables[name] = (cfg.entry, steps)
+        return table
 
     def _run_call(
         self,
         call,
-        flat: dict[tuple[int, ...], int],
+        args: _CallArgs,
         state: KernelState,
-        operands: set[int] | None = None,
+        operands: set[int],
     ) -> tuple[list[int], int, CrashReport | None]:
-        cfg = self.kernel.handlers.get(call.spec.full_name)
-        if cfg is None:
-            raise ExecutionError(
-                f"kernel {self.kernel.version} has no handler for "
-                f"{call.spec.full_name!r}"
-            )
+        current, steps = self._table(call.spec.full_name)
+        flags = state.flags
         trace: list[int] = []
-        current = cfg.entry
         for _ in range(_MAX_STEPS_PER_CALL):
-            block = cfg.blocks[current]
+            role, effects, condition, operand, succs, block = steps[current]
             trace.append(current)
-            for key, flag_value in block.effects:
-                state.flags[key] = flag_value
-            if block.role is BlockRole.CRASH:
+            if effects:
+                flags.update(effects)
+            if role is _CONDITION:
+                if operand is not None:
+                    operands.add(operand)
+                taken = condition.evaluate(args, state)
+                current = succs[1] if taken else succs[0]
+            elif role is _BODY or role is _ENTRY:
+                current = succs[0]
+            elif role is _CRASH:
                 bug = block.bug
                 assert bug is not None
                 triggers = bug.reproducible or (
@@ -237,24 +298,14 @@ class Executor:
                     return trace, -5, report
                 # Near-miss: the race window closed; fall through.
                 return trace, -5, None
-            if block.role is BlockRole.EXIT_SUCCESS:
+            elif role is _EXIT_SUCCESS:
                 retval = 0
                 produces = call.spec.produces
                 if produces is not None:
                     retval = state.open_handle(kind=produces.name)
                 return trace, retval, None
-            if block.role is BlockRole.EXIT_ERROR:
-                return trace, -block.errno, None
-            succs = cfg.successors(current)
-            if block.role is BlockRole.CONDITION:
-                condition = block.condition
-                assert condition is not None
-                if operands is not None and hasattr(condition, "operand"):
-                    operands.add(condition.operand)
-                taken = condition.evaluate(flat, state)
-                current = succs[1] if taken else succs[0]
             else:
-                current = succs[0]
+                return trace, -block.errno, None
         error = ExecutorHang(
             f"handler {call.spec.full_name} exceeded {_MAX_STEPS_PER_CALL} "
             "steps"

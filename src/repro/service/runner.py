@@ -73,7 +73,7 @@ class JobRunner:
             FaultInjector(FaultPlan.from_dict(spec.faults))
             if spec.faults else None
         )
-        trained = self._trained(spec)
+        trained = self._trained()
         baseline = spec.mode == "baseline"
         oracle = spec.mode == "oracle"
         if spec.workers > 1:
@@ -95,18 +95,12 @@ class JobRunner:
                 injector=injector, observer=self.observer,
             )
 
-    @staticmethod
-    def _trained(spec) -> TrainedPMM | None:
-        if spec.mode != "model":
+    def _trained(self) -> TrainedPMM | None:
+        if self.spec.mode != "model":
             return None
         from repro.pmm.checkpoint import load_pmm
 
-        model, vocab, encoder = load_pmm(
-            spec.model,
-            build_kernel(
-                spec.kernel, seed=spec.kernel_seed, size=spec.size
-            ).table,
-        )
+        model, vocab, encoder = load_pmm(self.spec.model, self.kernel.table)
         return TrainedPMM(
             model=model, encoder=encoder, vocab=vocab,
             dataset=None, validation=None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ProgramError
 from repro.kernel.build import Kernel
 from repro.kernel.conditions import ArgCondition
 from repro.kernel.coverage import Coverage
@@ -47,7 +48,7 @@ class OracleLocalizer:
                 path = ArgPath(call_index, condition.path_elements)
                 try:
                     program.get(path)
-                except Exception:
+                except ProgramError:
                     continue
                 if path not in seen:
                     seen.add(path)

@@ -227,6 +227,30 @@ class _Cursor:
         return literal
 
 
+def _strip_comment(line: str) -> str:
+    """``line`` up to its first ``#`` outside a quoted literal.
+
+    Text buffers serialize ``#`` raw, so a ``#`` inside quotes is data.
+    """
+    if "#" not in line:
+        return line
+    quote = ""
+    index = 0
+    while index < len(line):
+        char = line[index]
+        if quote:
+            if char == "\\":
+                index += 1
+            elif char == quote:
+                quote = ""
+        elif char in "'\"":
+            quote = char
+        elif char == "#":
+            return line[:index]
+        index += 1
+    return line
+
+
 def parse_program(text: str, table: SyscallTable) -> Program:
     """Parse a syz-format ``text`` against ``table``.
 
@@ -237,7 +261,7 @@ def parse_program(text: str, table: SyscallTable) -> Program:
     line_number = 0
     for raw_line in text.splitlines():
         line_number += 1
-        line = raw_line.split("#", 1)[0].strip()
+        line = _strip_comment(raw_line).strip()
         if not line:
             continue
         cursor = _Cursor(line, line_number)

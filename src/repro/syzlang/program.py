@@ -184,15 +184,31 @@ def zero_value(ty: Type) -> Value:
     raise ProgramError(f"cannot build a value of type {ty!r}")
 
 
-def _children(value: Value) -> list[tuple[int, Value]]:
-    """The indexed children of a value, per ArgPath conventions."""
+def _walk_value(
+    value: Value,
+    elements: tuple[int, ...],
+    out: list[tuple[tuple[int, ...], Value]],
+) -> None:
+    """Append ``(elements, value)`` for ``value`` and, in pre-order,
+    every value below it."""
+    out.append((elements, value))
     if isinstance(value, PtrValue):
-        return [] if value.pointee is None else [(0, value.pointee)]
-    if isinstance(value, StructValue):
-        return list(enumerate(value.fields))
-    if isinstance(value, ArrayValue):
-        return list(enumerate(value.elems))
-    return []
+        if value.pointee is not None:
+            _walk_value(value.pointee, elements + (0,), out)
+    elif isinstance(value, StructValue):
+        for index, child in enumerate(value.fields):
+            _walk_value(child, elements + (index,), out)
+    elif isinstance(value, ArrayValue):
+        for index, child in enumerate(value.elems):
+            _walk_value(child, elements + (index,), out)
+
+
+def _call_values(call: "Call") -> list[tuple[tuple[int, ...], Value]]:
+    """``(path elements, value)`` for every value in ``call``, pre-order."""
+    out: list[tuple[tuple[int, ...], Value]] = []
+    for arg_index, arg in enumerate(call.args):
+        _walk_value(arg, (arg_index,), out)
+    return out
 
 
 @dataclass
@@ -204,6 +220,31 @@ class Call:
 
     def clone(self) -> "Call":
         return Call(self.spec, [arg.clone() for arg in self.args])
+
+    def value_at(self, elements: tuple[int, ...]) -> Value | None:
+        """The value ``elements`` addresses (ArgPath conventions), or
+        None where the path leads nowhere: through a NULL pointer, past
+        a leaf, or out of range."""
+        args = self.args
+        if not elements or not 0 <= elements[0] < len(args):
+            return None
+        value = args[elements[0]]
+        for element in elements[1:]:
+            if isinstance(value, PtrValue):
+                if element != 0 or value.pointee is None:
+                    return None
+                value = value.pointee
+                continue
+            if isinstance(value, StructValue):
+                children = value.fields
+            elif isinstance(value, ArrayValue):
+                children = value.elems
+            else:
+                return None
+            if not 0 <= element < len(children):
+                return None
+            value = children[element]
+        return value
 
     def validate(self) -> None:
         if len(self.args) != self.spec.arity:
@@ -303,45 +344,37 @@ class Program:
 
     # ----- traversal -----
 
-    def walk_call(self, call_index: int):
-        """Yield ``(ArgPath, Value)`` for every value in one call."""
-        call = self.calls[call_index]
+    def walk_call(self, call_index: int) -> list[tuple[ArgPath, Value]]:
+        """``(ArgPath, Value)`` for every value in one call, pre-order."""
+        return [
+            (ArgPath(call_index, elements), value)
+            for elements, value in _call_values(self.calls[call_index])
+        ]
 
-        def walk(value: Value, elements: tuple[int, ...]):
-            yield ArgPath(call_index, elements), value
-            for child_index, child in _children(value):
-                yield from walk(child, elements + (child_index,))
-
-        for arg_index, arg in enumerate(call.args):
-            yield from walk(arg, (arg_index,))
-
-    def walk(self):
-        """Yield ``(ArgPath, Value)`` across the whole program."""
-        for call_index in range(len(self.calls)):
-            yield from self.walk_call(call_index)
+    def walk(self) -> list[tuple[ArgPath, Value]]:
+        """``(ArgPath, Value)`` across the whole program."""
+        return [
+            pair
+            for call_index in range(len(self.calls))
+            for pair in self.walk_call(call_index)
+        ]
 
     def mutation_sites(self) -> list[ArgPath]:
         """Paths of every mutable leaf argument (the §2 search space)."""
         return [
-            path for path, value in self.walk() if value.ty.is_mutable()
+            ArgPath(call_index, elements)
+            for call_index, call in enumerate(self.calls)
+            for elements, value in _call_values(call)
+            if value.ty.is_mutable()
         ]
 
     def get(self, path: ArgPath) -> Value:
         """The value at ``path``; raises ProgramError on a bad path."""
         if not 0 <= path.call_index < len(self.calls):
             raise ProgramError(f"{path}: no such call")
-        call = self.calls[path.call_index]
-        if not path.elements:
-            raise ProgramError(f"{path}: empty path")
-        first = path.elements[0]
-        if not 0 <= first < len(call.args):
-            raise ProgramError(f"{path}: no such argument")
-        value: Value = call.args[first]
-        for element in path.elements[1:]:
-            children = dict(_children(value))
-            if element not in children:
-                raise ProgramError(f"{path}: dangling path element {element}")
-            value = children[element]
+        value = self.calls[path.call_index].value_at(path.elements)
+        if value is None:
+            raise ProgramError(f"{path}: dangling path")
         return value
 
     def set(self, path: ArgPath, new_value: Value) -> None:
@@ -372,10 +405,10 @@ class Program:
         if not 0 <= index <= len(self.calls):
             raise ProgramError(f"bad insertion index {index}")
         self.calls.insert(index, call)
-        for call_index in range(len(self.calls)):
+        for call_index, other in enumerate(self.calls):
             if call_index == index:
                 continue
-            for _, value in self.walk_call(call_index):
+            for _, value in _call_values(other):
                 if isinstance(value, ResourceValue) and value.producer is not None:
                     if value.producer >= index:
                         value.producer += 1
@@ -385,27 +418,13 @@ class Program:
         if not 0 <= index < len(self.calls):
             raise ProgramError(f"bad removal index {index}")
         del self.calls[index]
-        for call_index in range(len(self.calls)):
-            for _, value in self.walk_call(call_index):
+        for call in self.calls:
+            for _, value in _call_values(call):
                 if isinstance(value, ResourceValue) and value.producer is not None:
                     if value.producer == index:
                         value.producer = None
                     elif value.producer > index:
                         value.producer -= 1
-
-    # ----- executor support -----
-
-    def flat_args(self, call_index: int) -> dict[tuple[int, ...], Value]:
-        """Leaf values of one call keyed by path elements.
-
-        The kernel executor evaluates branch conditions against this map.
-        """
-        return {
-            path.elements: value
-            for path, value in self.walk_call(call_index)
-            if not isinstance(value, (PtrValue, StructValue, ArrayValue))
-            or (isinstance(value, PtrValue) and value.pointee is None)
-        }
 
     def resolve_len_fields(self) -> None:
         """Recompute every LenType field from its sibling buffer/array.
@@ -413,7 +432,7 @@ class Program:
         Called after generation so length fields start consistent; the
         mutator may later *deliberately* desynchronise them.
         """
-        for path, value in list(self.walk()):
+        for path, value in self.walk():
             if not isinstance(value, IntValue) or not isinstance(value.ty, LenType):
                 continue
             target = self._find_len_target(path, value.ty.path)

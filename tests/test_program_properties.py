@@ -73,18 +73,3 @@ class TestStructuralInvariants:
         assert [p.elements for p in clone.mutation_sites()] == [
             p.elements for p in program.mutation_sites()
         ]
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(seed=st.integers(0, 50_000))
-    def test_flat_args_subset_of_walk(self, table, seed):
-        program = _program(seed, table)
-        for call_index in range(len(program)):
-            flat = program.flat_args(call_index)
-            walked = {
-                path.elements for path, _ in program.walk_call(call_index)
-            }
-            assert set(flat) <= walked

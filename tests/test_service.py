@@ -12,6 +12,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.service import (
     CampaignSpec,
+    JobRunner,
     Quota,
     QuotaError,
     Request,
@@ -151,6 +152,41 @@ class TestSessionManager:
             Quota(max_concurrent=0)
         with pytest.raises(QuotaError):
             Quota(budget_hours=0.0)
+
+
+class TestJobRunner:
+    def test_model_job_builds_its_kernel_once(self, tmp_path, monkeypatch):
+        """The PMM checkpoint loads against the job's own kernel table;
+        materializing a model-mode job builds one kernel, not two."""
+        import repro.service.runner as runner_module
+        from repro.graphs import AsmVocab, GraphEncoder
+        from repro.pmm import PMM, PMMConfig
+        from repro.pmm.checkpoint import save_pmm
+
+        kernel = build_kernel("6.8", seed=1, size="tiny")
+        vocab = AsmVocab.build(kernel)
+        encoder = GraphEncoder(vocab, kernel.table)
+        model = PMM(
+            len(vocab), encoder.num_syscalls,
+            PMMConfig(dim=16, gnn_layers=1, asm_layers=1, asm_heads=2,
+                      seed=3),
+        )
+        path = tmp_path / "pmm.npz"
+        save_pmm(path, model, vocab, kernel.table)
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append((args, kwargs))
+            return build_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_kernel", counting_build)
+        runner = JobRunner(CampaignSpec(
+            tenant="alice", size="tiny", mode="model", model=str(path),
+            hours=0.1, seed_corpus=4,
+        ))
+        assert len(builds) == 1
+        assert runner.loop is not None
+        assert runner.loop.pmm_localizer.model is not None
 
 
 class TestServiceLifecycle:

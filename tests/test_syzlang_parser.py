@@ -96,6 +96,34 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_program("r0 = close(0xffffffffffffffff)", table)
 
+    def test_hash_inside_text_buffer_is_data(self, table):
+        text = "unlink(&(0x7f0000000000)='a#b')"
+        program = parse_program(text, table)
+        assert program.calls[0].args[0].pointee.data == b"a#b"
+        assert serialize_program(program) == text
+
+    def test_trailing_comment_after_call_ignored(self, table):
+        text = "unlink(&(0x7f0000000000)='a#b')  # removes ./a#b 'x'\n"
+        program = parse_program(text, table)
+        assert serialize_program(program) == (
+            "unlink(&(0x7f0000000000)='a#b')"
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.binary(max_size=16))
+    def test_text_buffer_bytes_round_trip(self, table, data):
+        """Property: any filename bytes — ``#``, quotes and backslashes
+        included — survive serialize → parse."""
+        from repro.syzlang.program import Call, Program, zero_value
+
+        spec = table.lookup("unlink")
+        call = Call(spec, [zero_value(ty) for _, ty in spec.args])
+        call.args[0].pointee.data = b"#" + data
+        text = serialize_program(Program([call]))
+        reparsed = parse_program(text, table)
+        assert reparsed.calls[0].args[0].pointee.data == b"#" + data
+        assert serialize_program(reparsed) == text
+
 
 class TestRoundTrip:
     @settings(
