@@ -9,6 +9,7 @@ survives the pytest run.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -54,6 +55,30 @@ def write_metrics(name: str, metrics) -> str:
         handle.write(metrics.to_json() + "\n")
     print(f"[metrics written to {path}]")
     return path
+
+
+def gate_metrics(name: str, metrics) -> None:
+    """Write ``metrics`` as ``results/<name>`` and gate it against the
+    committed baseline that file held.
+
+    The baseline is read before :func:`write_metrics` replaces it; a
+    first run with no baseline seeds it and passes.  Fails when
+    :func:`~repro.observe.flag_regressions` (default 10 % threshold,
+    direction read off each series name) flags any series.
+    """
+    from repro.observe import flag_regressions
+
+    baseline = None
+    path = os.path.join(RESULTS_DIR, name)
+    if os.path.exists(path):
+        with open(path) as handle:
+            baseline = json.load(handle)
+    write_metrics(name, metrics)
+    with open(path) as handle:
+        fresh = json.load(handle)
+    if baseline is None:
+        baseline = fresh
+    assert flag_regressions(baseline, fresh) == []
 
 
 @pytest.fixture(scope="session")

@@ -123,7 +123,7 @@ def test_bench_ablation_fallback_probability(
     """§3.4's fallback randomness: pure-PMM vs hybrid localization."""
     from repro.rng import derive_seed, split
     from repro.snowplow import CampaignConfig, SnowplowConfig
-    from repro.snowplow.campaign import _build_snowplow_loop
+    from repro.snowplow.campaign import build_loop
 
     def run():
         results = {}
@@ -134,7 +134,7 @@ def test_bench_ablation_fallback_probability(
                 snowplow=SnowplowConfig(fallback_argument_prob=fallback),
             )
             run_seed = derive_seed(72, label)
-            loop = _build_snowplow_loop(
+            loop = build_loop(
                 kernel_68, trained_68, run_seed, config
             )
             seeds = ProgramGenerator(

@@ -20,15 +20,18 @@ Runs on small/tiny kernels with the oracle localizer so the CI smoke
 job can afford it; the shapes, not the absolute numbers, are the claims.
 """
 
-import json
 import os
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, write_metrics, write_result
+from benchmarks.conftest import (
+    RESULTS_DIR,
+    gate_metrics,
+    write_metrics,
+    write_result,
+)
 from repro.cluster import ClusterConfig
 from repro.kernel import build_kernel
-from repro.observe import flag_regressions
 from repro.pmm.serve import BatchingInferenceService, InferenceService
 from repro.snowplow import (
     CampaignConfig,
@@ -38,7 +41,6 @@ from repro.snowplow import (
 )
 
 HORIZON = 2400.0
-PR6_BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR6.json")
 # PR-4's measured serve.queue_delay/p95 — the shedding tier must hold
 # the fleet at or below the single-loop era's tail latency.
 PR4_QUEUE_DELAY_P95 = 2260.5
@@ -176,11 +178,6 @@ def test_bench_pr6_fleet_scaling(benchmark):
     per_worker_8 = sync_seconds_per_worker(8)
     per_worker_64 = sync_seconds_per_worker(64)
 
-    baseline = None
-    if os.path.exists(PR6_BASELINE):
-        with open(PR6_BASELINE) as handle:
-            baseline = json.load(handle)
-
     metrics = {
         # "delay" marks this higher-is-worse for flag_regressions.
         "bench.fleet.queue_delay_p95": round(
@@ -196,9 +193,7 @@ def test_bench_pr6_fleet_scaling(benchmark):
         "bench.fleet.shed_requests_64": float(service.shed),
         "bench.fleet.bloom_skips_64": float(widest.hub_stats.bloom_skips),
     }
-    fresh_path = write_metrics("BENCH_PR6.json", metrics)
-    with open(fresh_path) as handle:
-        fresh = json.load(handle)
+    gate_metrics("BENCH_PR6.json", metrics)
 
     write_result(
         "BENCH_PR6.txt",
@@ -227,7 +222,3 @@ def test_bench_pr6_fleet_scaling(benchmark):
     assert service.queue_delay.p95 <= PR4_QUEUE_DELAY_P95
     # The bloom pre-dedup path is actually exercised at fleet scale.
     assert widest.hub_stats.bloom_skips > 0
-
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []

@@ -13,10 +13,7 @@ from benchmarks.conftest import write_metrics, write_result
 from repro.pmm.serve import InferenceService
 from repro.rng import derive_seed, split
 from repro.snowplow import CampaignConfig
-from repro.snowplow.campaign import (
-    _build_snowplow_loop,
-    _build_syzkaller_loop,
-)
+from repro.snowplow.campaign import build_loop
 from repro.syzlang import ProgramGenerator
 from repro.vclock import CostModel
 
@@ -76,9 +73,11 @@ def test_bench_fuzzing_throughput(benchmark, kernel_68, trained_68):
         for mode in ("syzkaller", "snowplow"):
             run_seed = derive_seed(91, mode)
             if mode == "syzkaller":
-                loop = _build_syzkaller_loop(kernel_68, run_seed, config)
+                loop = build_loop(
+                    kernel_68, None, run_seed, config, baseline=True
+                )
             else:
-                loop = _build_snowplow_loop(
+                loop = build_loop(
                     kernel_68, trained_68, run_seed, config
                 )
             seeds = ProgramGenerator(
@@ -121,7 +120,7 @@ def test_bench_async_vs_blocking_ablation(benchmark, kernel_68, trained_68):
                 sample_interval=10.0, cost=cost,
             )
             run_seed = derive_seed(93, label)
-            loop = _build_snowplow_loop(
+            loop = build_loop(
                 kernel_68, trained_68, run_seed, config
             )
             seeds = ProgramGenerator(

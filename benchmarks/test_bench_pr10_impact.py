@@ -19,10 +19,7 @@ Headline metrics, direction-tagged for ``flag_regressions``:
   the directed arm reached ("completed": lower is worse).
 """
 
-import json
-import os
-
-from benchmarks.conftest import RESULTS_DIR, write_metrics, write_result
+from benchmarks.conftest import gate_metrics, write_result
 from repro.analyze import (
     DependencyOracle,
     DistanceField,
@@ -33,11 +30,9 @@ from repro.analyze import (
     strict_failures,
 )
 from repro.kernel import build_kernel
-from repro.observe import flag_regressions
 from repro.snowplow import run_patch_campaign
 from repro.snowplow.campaign import fuzz_campaign_config
 
-BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR10.json")
 MAX_DIRECTED_RATIO = 0.5
 HOURS = 2.0
 
@@ -69,11 +64,6 @@ def test_bench_pr10_impact_gate(benchmark):
         if result.plain_time else float("inf")
     )
 
-    baseline = None
-    if os.path.exists(BASELINE):
-        with open(BASELINE) as handle:
-            baseline = json.load(handle)
-
     metrics = {
         # Direction-tagged headline numbers.
         "bench.impact.directed_latency_vseconds": round(
@@ -97,9 +87,7 @@ def test_bench_pr10_impact_gate(benchmark):
         "bench.impact.plain_time_vseconds": round(result.plain_time, 1),
         "bench.impact.lint_findings": float(len(findings)),
     }
-    fresh_path = write_metrics("BENCH_PR10.json", metrics)
-    with open(fresh_path) as handle:
-        fresh = json.load(handle)
+    gate_metrics("BENCH_PR10.json", metrics)
 
     write_result("BENCH_PR10.txt", "\n".join([
         f"PR 10 patch-impact gate (tiny/{old.version}->{new.version}, "
@@ -132,7 +120,3 @@ def test_bench_pr10_impact_gate(benchmark):
     assert result.directed_complete
     assert result.targets_reached_fraction() == 1.0
     assert ratio <= MAX_DIRECTED_RATIO
-
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []

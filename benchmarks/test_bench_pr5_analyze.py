@@ -12,11 +12,9 @@ baseline:
   with no more executions than the plain heuristic.
 """
 
-import json
-import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, write_metrics, write_result
+from benchmarks.conftest import gate_metrics, write_result
 from repro.analyze import (
     DependencyOracle,
     ReachabilityAnalysis,
@@ -28,7 +26,6 @@ from repro.analyze import (
 from repro.fuzzer import RandomLocalizer
 from repro.fuzzer.directed import DirectedFuzzer, SyzDirectLocalizer
 from repro.kernel import Executor, build_kernel
-from repro.observe import flag_regressions
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig, evaluate_selector
 from repro.rng import derive_seed, make_rng, split
 from repro.snowplow import CampaignConfig, format_table1, train_pmm
@@ -36,7 +33,6 @@ from repro.snowplow.campaign import default_directed_targets
 from repro.syzlang import ProgramGenerator
 from repro.vclock import VirtualClock
 
-BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR5.json")
 RELEASES = ("6.8", "6.9", "6.10")
 
 
@@ -163,11 +159,6 @@ def test_bench_pr5_analyze_gate(benchmark):
         kernel_68, reach_68, oracle_68
     )
 
-    baseline = None
-    if os.path.exists(BASELINE):
-        with open(BASELINE) as handle:
-            baseline = json.load(handle)
-
     metrics = {}
     for version, row in rows.items():
         tag = version.replace(".", "_")
@@ -184,9 +175,7 @@ def test_bench_pr5_analyze_gate(benchmark):
     )
     metrics["bench.analyze.directed_execs_plain"] = float(totals["plain"])
     metrics["bench.analyze.directed_execs_oracle"] = float(totals["oracle"])
-    fresh_path = write_metrics("BENCH_PR5.json", metrics)
-    with open(fresh_path) as handle:
-        fresh = json.load(handle)
+    gate_metrics("BENCH_PR5.json", metrics)
 
     table = format_table1(pmm_m, random_m, "Rand.3", static_oracle=oracle_m)
     lines = [
@@ -224,7 +213,3 @@ def test_bench_pr5_analyze_gate(benchmark):
     # Exact steering slots must not cost executions.
     assert reached["oracle"] >= reached["plain"]
     assert totals["oracle"] <= totals["plain"]
-
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []

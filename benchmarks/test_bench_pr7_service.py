@@ -12,18 +12,14 @@ recorded as a diagnostic (untagged name, so nondeterministic timing
 never trips the gate).
 """
 
-import json
-import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, write_metrics, write_result
+from benchmarks.conftest import gate_metrics, write_result
 from repro.cluster import ClusterConfig
 from repro.kernel import build_kernel
-from repro.observe import flag_regressions
 from repro.service import Request, ServiceServer, encode_signature
 from repro.snowplow import build_cluster, fuzz_campaign_config, fuzz_run_seed
 
-BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR7.json")
 
 HOURS = 0.2
 SEED_CORPUS = 8
@@ -97,16 +93,11 @@ def test_bench_pr7_service_gate(benchmark):
     wall_x8 = by_level[8][2]
     overhead_pct = 100.0 * (wall_x8 - 8 * solo_wall) / (8 * solo_wall)
 
-    baseline = None
-    if os.path.exists(BASELINE):
-        with open(BASELINE) as handle:
-            baseline = json.load(handle)
-
     # Deterministic series carry direction tags ("executions",
     # "new_edges", "corpus_size" are lower-is-worse); the wall-clock
     # overhead series is deliberately untagged so timing noise is
     # reported but never gates.
-    fresh_path = write_metrics("BENCH_PR7.json", {
+    gate_metrics("BENCH_PR7.json", {
         "bench.service.executions": float(tracked["executions"]),
         "bench.service.new_edges_at_budget": float(tracked["final_edges"]),
         "bench.service.corpus_size": float(tracked["corpus_size"]),
@@ -116,8 +107,6 @@ def test_bench_pr7_service_gate(benchmark):
         "bench.service.isolation_holds": 1.0,
         "bench.service.orchestrator_overhead_pct": round(overhead_pct, 1),
     })
-    with open(fresh_path) as handle:
-        fresh = json.load(handle)
 
     lines = [
         "PR 7 service bench: one tracked campaign, multiplexed.",
@@ -139,7 +128,3 @@ def test_bench_pr7_service_gate(benchmark):
         f"(diagnostic, not gated)"
     )
     write_result("BENCH_PR7.txt", "\n".join(lines))
-
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []

@@ -13,14 +13,11 @@ Headline groups feeding the committed ``BENCH_PR8.json`` baseline:
   ISSUE acceptance bound of 0.70.
 """
 
-import json
-import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, write_metrics, write_result
+from benchmarks.conftest import gate_metrics, write_result
 from repro.analyze import strict_failures, table_mismatch_findings
 from repro.kernel import build_kernel
-from repro.observe import flag_regressions
 from repro.specgen import (
     diff_tables,
     infer_specs,
@@ -30,7 +27,6 @@ from repro.specgen import (
 )
 from repro.syzlang import build_standard_table
 
-BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR8.json")
 RELEASES = ("6.8", "6.9", "6.10")
 MIN_COVERAGE_RATIO = 0.70
 
@@ -68,11 +64,6 @@ def test_bench_pr8_specgen_gate(benchmark):
     )
     run_68 = campaign.run_for("6.8")
 
-    baseline = None
-    if os.path.exists(BASELINE):
-        with open(BASELINE) as handle:
-            baseline = json.load(handle)
-
     metrics = {}
     for version, row in rows.items():
         tag = version.replace(".", "_")
@@ -99,9 +90,7 @@ def test_bench_pr8_specgen_gate(benchmark):
     metrics["bench.specgen.inferred_edges_6_8"] = float(
         run_68.inferred_edges
     )
-    fresh_path = write_metrics("BENCH_PR8.json", metrics)
-    with open(fresh_path) as handle:
-        fresh = json.load(handle)
+    gate_metrics("BENCH_PR8.json", metrics)
 
     lines = [
         "PR 8 spec-inference gate.",
@@ -141,7 +130,3 @@ def test_bench_pr8_specgen_gate(benchmark):
     # The ISSUE acceptance bound: inferred-spec fuzzing keeps >= 70%
     # of ground-truth coverage on the seeded 6.8 campaign.
     assert run_68.coverage_ratio >= MIN_COVERAGE_RATIO
-
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []

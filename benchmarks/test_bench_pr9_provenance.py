@@ -15,17 +15,13 @@ Headline groups feeding the committed ``BENCH_PR9.json`` baseline:
   from the virtual clock's charge ledger, not wall time.
 """
 
-import json
-import os
-
-from benchmarks.conftest import RESULTS_DIR, write_metrics, write_result
+from benchmarks.conftest import gate_metrics, write_result
 from repro.cluster import ClusterConfig
 from repro.kernel import build_kernel
 from repro.observe import (
     Observer,
     ProvenanceLog,
     attribution_table,
-    flag_regressions,
     resolve_target,
 )
 from repro.snowplow import CampaignConfig, build_cluster
@@ -35,7 +31,6 @@ from repro.snowplow.campaign import (
     fuzz_run_seed,
 )
 
-BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR9.json")
 MIN_EDGE_ATTRIBUTION = 0.95
 PHASES = ("mutation", "execution", "triage", "hub_sync")
 
@@ -105,11 +100,6 @@ def test_bench_pr9_provenance_gate(benchmark):
     cluster, _, fleet_log = _fleet_campaign(kernel)
     fleet_shares = _phase_shares(cluster.workers[0].loop.clock)
 
-    baseline = None
-    if os.path.exists(BASELINE):
-        with open(BASELINE) as handle:
-            baseline = json.load(handle)
-
     metrics = {
         # Direction-tagged: losing attribution coverage is a regression.
         "bench.provenance.bugs_attributed_fraction": round(bugs_complete, 4),
@@ -143,9 +133,7 @@ def test_bench_pr9_provenance_gate(benchmark):
         metrics[f"bench.provenance.edges_{tag}"] = float(row["edges"])
         metrics[f"bench.provenance.bugs_{tag}"] = float(row["bugs"])
         metrics[f"bench.provenance.dead_share_{tag}"] = row["dead_share"]
-    fresh_path = write_metrics("BENCH_PR9.json", metrics)
-    with open(fresh_path) as handle:
-        fresh = json.load(handle)
+    gate_metrics("BENCH_PR9.json", metrics)
 
     lines = [
         "PR 9 provenance gate (tiny/6.8, oracle-steered, 0.5h virtual).",
@@ -183,7 +171,3 @@ def test_bench_pr9_provenance_gate(benchmark):
     subsumed = cluster.hub.stats.subsumed_entries
     assert fleet_log.superseded_count <= subsumed
     assert subsumed == 0 or fleet_log.superseded_count > 0
-
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []

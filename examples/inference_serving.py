@@ -12,10 +12,7 @@ from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
 from repro.pmm.serve import InferenceService
 from repro.rng import derive_seed, split
 from repro.snowplow import CampaignConfig, train_pmm
-from repro.snowplow.campaign import (
-    _build_snowplow_loop,
-    _build_syzkaller_loop,
-)
+from repro.snowplow.campaign import build_loop
 from repro.syzlang import ProgramGenerator
 from repro.vclock import CostModel
 
@@ -54,9 +51,9 @@ def compare_integration(kernel, trained) -> None:
         )
         run_seed = derive_seed(55, label)
         if label == "syzkaller":
-            loop = _build_syzkaller_loop(kernel, run_seed, config)
+            loop = build_loop(kernel, None, run_seed, config, baseline=True)
         else:
-            loop = _build_snowplow_loop(kernel, trained, run_seed, config)
+            loop = build_loop(kernel, trained, run_seed, config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(config.seed_corpus_size)

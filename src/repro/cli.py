@@ -64,7 +64,7 @@ from repro.observe import (
 from repro.observe.slo import DEFAULT_PACKS
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
 from repro.pmm.checkpoint import load_pmm, save_pmm
-from repro.rng import derive_seed, split
+from repro.rng import derive_seed
 from repro.cluster import ClusterConfig
 from repro.snowplow import (
     CampaignConfig,
@@ -81,8 +81,8 @@ from repro.snowplow import (
     scaling_json,
     train_pmm,
 )
-from repro.snowplow.campaign import TrainedPMM
-from repro.syzlang import ProgramGenerator, parse_program, serialize_program
+from repro.snowplow.campaign import TrainedPMM, campaign_seeds
+from repro.syzlang import parse_program, serialize_program
 
 __all__ = ["main"]
 
@@ -92,6 +92,39 @@ def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
                         help="kernel version (6.8/6.9/6.10)")
     parser.add_argument("--kernel-seed", type=int, default=1)
     parser.add_argument("--size", default="default", choices=KNOWN_SIZES)
+
+
+def _add_campaign_args(
+    parser: argparse.ArgumentParser, workers: int = 1
+) -> None:
+    """The campaign flags ``fuzz``, ``cluster`` and ``submit`` share."""
+    parser.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
+    parser.add_argument("--baseline", action="store_true",
+                        help="run plain Syzkaller instead of Snowplow")
+    parser.add_argument("--hours", type=float, default=1.0,
+                        help="virtual hours to fuzz (per worker)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed-corpus", type=int, default=100)
+    parser.add_argument("--workers", type=int, default=workers,
+                        help="fleet size; >1 runs a hub-synced cluster "
+                             "(the cluster command reads it in chaos mode)")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="corpus-hub shards; >1 enables the sharded "
+                             "hub (fleets only)")
+    parser.add_argument("--batch-size", type=int, default=None,
+                        help="serving-tier max batch size "
+                             "(1 disables batching)")
+
+
+def _bad_fleet_args(args) -> bool:
+    """Report a non-positive ``--workers``/``--shards`` on stderr."""
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return True
+    if args.shards < 1:
+        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+        return True
+    return False
 
 
 def _cmd_build_kernel(args) -> int:
@@ -186,11 +219,7 @@ def _cmd_fuzz(args) -> int:
         directed_versions[1] if directed_versions else args.kernel,
         seed=args.kernel_seed, size=args.size,
     )
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+    if _bad_fleet_args(args):
         return 2
     config = _fuzz_config(args, batch_size=args.batch_size)
     run_seed = fuzz_run_seed(args.seed, kernel.version)
@@ -333,11 +362,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_cluster_chaos(args, kernel) -> int:
     """The chaos gate: one supervised fleet under the seeded fault plan,
     exiting non-zero unless every robustness invariant holds."""
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
+    if _bad_fleet_args(args):
         return 2
     config = _fuzz_config(args, batch_size=args.batch_size)
     oracle = args.oracle
@@ -765,10 +790,9 @@ def _cmd_analyze_corpus(args) -> int:
     observer = _analyze_observer(args)
     # The same derivation the fuzz subcommand uses, so `analyze corpus`
     # lints exactly the seed corpus a smoke campaign starts from.
-    run_seed = derive_seed(args.seed, "cli-fuzz", kernel.version)
-    programs = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(args.seed_corpus)
+    programs = campaign_seeds(
+        kernel, fuzz_run_seed(args.seed, kernel.version), args.seed_corpus
+    )
     findings = run_corpus_checks(kernel, programs, observer=observer)
     print(f"corpus: {len(programs)} programs "
           f"({sum(len(p.calls) for p in programs)} calls) on "
@@ -1135,22 +1159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a fuzzing campaign")
     _add_kernel_args(p)
-    p.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
-    p.add_argument("--baseline", action="store_true",
-                   help="run plain Syzkaller instead of Snowplow")
+    _add_campaign_args(p)
     p.add_argument("--oracle", action="store_true",
                    help="use the white-box oracle localizer (no model)")
-    p.add_argument("--hours", type=float, default=1.0,
-                   help="virtual hours to fuzz")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-corpus", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1,
-                   help="fleet size; >1 runs a hub-synced cluster")
-    p.add_argument("--shards", type=int, default=1,
-                   help="corpus-hub shards; >1 enables the sharded hub "
-                        "(cluster mode only)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="serving-tier max batch size (1 disables batching)")
     p.add_argument("--observe-dir", default=None,
                    help="export trace/metrics/flame telemetry here")
     p.add_argument("--skip-dead-targets", action="store_true",
@@ -1174,28 +1185,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale: fleet-size sweep; chaos: supervised fleet "
                         "under the seeded fault plan (exit 1 on any "
                         "invariant violation)")
-    p.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
-    p.add_argument("--baseline", action="store_true",
-                   help="sweep plain Syzkaller fleets instead of Snowplow")
+    _add_campaign_args(p, workers=4)
     p.add_argument("--oracle", action="store_true",
                    help="use the white-box oracle localizer (no model)")
-    p.add_argument("--hours", type=float, default=1.0,
-                   help="virtual hours per worker")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-corpus", type=int, default=100)
     p.add_argument("--worker-counts", default="1,2,4,8",
                    help="comma-separated fleet sizes to sweep (scale mode)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="fleet size (chaos mode)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="corpus-hub shards; >1 enables the sharded hub")
     p.add_argument("--heartbeat-deadline", type=float, default=None,
                    help="virtual seconds of worker silence before the "
                         "supervisor restarts it (chaos mode defaults to 900)")
     p.add_argument("--sync-interval", type=float, default=600.0,
                    help="virtual seconds between hub syncs")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="serving-tier max batch size (1 disables batching)")
     p.add_argument("--observe-dir", default=None,
                    help="export per-fleet-size telemetry under this directory")
     p.add_argument("--json", action="store_true",
@@ -1241,15 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduling slice if this submit creates the service")
     p.add_argument("--tenant", required=True, help="tenant (session) name")
     _add_kernel_args(p)
-    p.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
-    p.add_argument("--baseline", action="store_true",
-                   help="run plain Syzkaller instead of Snowplow")
-    p.add_argument("--hours", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-corpus", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=None)
+    _add_campaign_args(p)
     p.add_argument("--heartbeat-deadline", type=float, default=None,
                    help="attach a fleet supervisor (cluster campaigns)")
     p.add_argument("--faults", default=None,

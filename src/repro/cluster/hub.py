@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.fuzzer.loop import FuzzObservation
 from repro.kernel.coverage import Coverage
-from repro.observe import MetricsRegistry
+from repro.observe import CounterView, MetricsRegistry
 from repro.observe.provenance import UNION, LineageRecord, ProvenanceLog
 from repro.syzlang.parser import parse_program, serialize_program
 from repro.syzlang.program import Program
@@ -48,47 +48,58 @@ class HubEntry:
     # uploader tracked no lineage).
     lineage: LineageRecord | None = None
 
+    def state_dict(self) -> dict:
+        """JSON-serializable form; coverage is kept as its call traces."""
+        return {
+            "program": serialize_program(self.program),
+            "traces": [list(trace) for trace in self.coverage.call_traces],
+            "signal": self.signal,
+            "hints": sorted(self.hints),
+            "origin": self.origin,
+            "epoch": self.epoch,
+            "lineage": (
+                self.lineage.to_dict() if self.lineage is not None else None
+            ),
+        }
 
-# Every HubStats counter: a ``hub.<name>`` registry series.  The first
-# five are the core sync protocol; the rest are the fleet-resilience
-# accounting paths (partition retries/drops, bloom pre-dedup, shard
-# failover) so nothing fails silently.
-_HUB_COUNTERS = (
-    "pushes", "accepted", "duplicates", "pulls", "pulled_entries",
-    "sync_failures", "dropped_entries", "bloom_skips",
-    "lost_entries", "failovers", "reconciled",
-    # Entries dropped with their lineage booked (``superseded_by``)
-    # instead of silently discarded: push-dedup collisions and
-    # rediscovered failover-backlog entries.
-    "subsumed_entries",
-)
+    @classmethod
+    def from_state(
+        cls, state: dict, table, provenance: ProvenanceLog
+    ) -> "HubEntry":
+        """Rebuild :meth:`state_dict` output against the syscall
+        ``table``.  The lineage record is the one ``provenance`` holds,
+        so entry and ledger share one object as they did live."""
+        lineage = state.get("lineage")
+        return cls(
+            program=parse_program(state["program"], table),
+            coverage=Coverage.from_traces(state["traces"]),
+            signal=int(state["signal"]),
+            hints=frozenset(state["hints"]),
+            origin=int(state["origin"]),
+            epoch=int(state["epoch"]),
+            lineage=(
+                provenance.record(LineageRecord.from_dict(lineage))
+                if lineage is not None else None
+            ),
+        )
 
 
-class HubStats:
+class HubStats(CounterView):
     """Hub-side sync accounting (views over ``hub.*`` registry series)."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        labels: dict | None = None,
-        **counters,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = dict(labels or {})
-        self._instruments = {
-            name: self.registry.counter(f"hub.{name}", **self.labels)
-            for name in _HUB_COUNTERS
-        }
-        for name, value in counters.items():
-            if name not in self._instruments:
-                raise TypeError(f"HubStats got an unexpected counter {name!r}")
-            self._instruments[name].set(value)
-
-    def counter_values(self) -> dict[str, int]:
-        return {
-            name: instrument.value
-            for name, instrument in self._instruments.items()
-        }
+    PREFIX = "hub"
+    # The first five are the core sync protocol; the rest are the
+    # fleet-resilience accounting paths (partition retries/drops, bloom
+    # pre-dedup, shard failover) so nothing fails silently.
+    COUNTERS = (
+        "pushes", "accepted", "duplicates", "pulls", "pulled_entries",
+        "sync_failures", "dropped_entries", "bloom_skips",
+        "lost_entries", "failovers", "reconciled",
+        # Entries dropped with their lineage booked (``superseded_by``)
+        # instead of silently discarded: push-dedup collisions and
+        # rediscovered failover-backlog entries.
+        "subsumed_entries",
+    )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HubStats):
@@ -101,21 +112,6 @@ class HubStats:
             for name, value in self.counter_values().items()
         )
         return f"HubStats({body})"
-
-
-def _hub_counter_property(name: str) -> property:
-    def _get(self):
-        return self._instruments[name].value
-
-    def _set(self, value):
-        self._instruments[name].set(value)
-
-    return property(_get, _set, doc=f"view over the hub.{name} series")
-
-
-for _counter_name in _HUB_COUNTERS:
-    setattr(HubStats, _counter_name, _hub_counter_property(_counter_name))
-del _counter_name
 
 
 class CorpusHub:
@@ -228,23 +224,7 @@ class CorpusHub:
         restore from the per-entry traces)."""
         return {
             "epoch": self.epoch,
-            "entries": [
-                {
-                    "program": serialize_program(entry.program),
-                    "traces": [
-                        list(trace) for trace in entry.coverage.call_traces
-                    ],
-                    "signal": entry.signal,
-                    "hints": sorted(entry.hints),
-                    "origin": entry.origin,
-                    "epoch": entry.epoch,
-                    "lineage": (
-                        entry.lineage.to_dict()
-                        if entry.lineage is not None else None
-                    ),
-                }
-                for entry in self.entries
-            ],
+            "entries": [entry.state_dict() for entry in self.entries],
             "timeline": [
                 [obs.time, obs.edges, obs.blocks, obs.executions]
                 for obs in self.timeline
@@ -265,32 +245,13 @@ class CorpusHub:
             state.get("provenance", ProvenanceLog().state_dict())
         )
         for entry_state in state["entries"]:
-            coverage = Coverage.from_traces(entry_state["traces"])
-            lineage_state = entry_state.get("lineage")
-            lineage = None
-            if lineage_state is not None:
-                # Point at the ledger's copy so the record identity the
-                # live hub had (entry and ledger sharing one object)
-                # survives the round-trip.
-                lineage = self.provenance.record(
-                    LineageRecord.from_dict(lineage_state)
-                )
-            signature = frozenset(coverage.edges)
-            self.entries.append(
-                HubEntry(
-                    program=parse_program(entry_state["program"], table),
-                    coverage=coverage,
-                    signal=int(entry_state["signal"]),
-                    hints=frozenset(entry_state["hints"]),
-                    origin=int(entry_state["origin"]),
-                    epoch=int(entry_state["epoch"]),
-                    lineage=lineage,
-                )
-            )
+            entry = HubEntry.from_state(entry_state, table, self.provenance)
+            signature = frozenset(entry.coverage.edges)
+            self.entries.append(entry)
             self._signatures.add(signature)
-            if lineage is not None:
-                self._signature_owner[signature] = lineage.entry_id
-            self.coverage.merge(coverage)
+            if entry.lineage is not None:
+                self._signature_owner[signature] = entry.lineage.entry_id
+            self.coverage.merge(entry.coverage)
         self.timeline = [
             FuzzObservation(
                 time=float(time), edges=int(edges), blocks=int(blocks),
@@ -298,7 +259,4 @@ class CorpusHub:
             )
             for time, edges, blocks, executions in state["timeline"]
         ]
-        # Restore counters in place so the stats view keeps pointing at
-        # the registry series it was built over.
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, int(value))
+        self.stats.restore_counters(state["stats"])

@@ -38,8 +38,7 @@ from repro.errors import CheckpointError
 from repro.fuzzer.loop import FuzzObservation
 from repro.kernel.coverage import Coverage
 from repro.observe import MetricsRegistry
-from repro.observe.provenance import UNION, LineageRecord
-from repro.syzlang.parser import parse_program, serialize_program
+from repro.observe.provenance import UNION
 
 from .hub import CorpusHub, HubEntry
 
@@ -309,23 +308,7 @@ class ShardedHub(CorpusHub):
         state["replica_epoch"] = list(self._replica_epoch)
         state["failed"] = sorted(self._failed)
         state["backlog"] = {
-            str(shard): [
-                {
-                    "program": serialize_program(entry.program),
-                    "traces": [
-                        list(trace) for trace in entry.coverage.call_traces
-                    ],
-                    "signal": entry.signal,
-                    "hints": sorted(entry.hints),
-                    "origin": entry.origin,
-                    "epoch": entry.epoch,
-                    "lineage": (
-                        entry.lineage.to_dict()
-                        if entry.lineage is not None else None
-                    ),
-                }
-                for entry in tail
-            ]
+            str(shard): [entry.state_dict() for entry in tail]
             for shard, tail in sorted(self._backlog.items())
         }
         state["peak_edges"] = self._peak_edges
@@ -352,20 +335,7 @@ class ShardedHub(CorpusHub):
         self._failed = set(int(shard) for shard in state["failed"])
         self._backlog = {
             int(shard): [
-                HubEntry(
-                    program=parse_program(entry_state["program"], table),
-                    coverage=Coverage.from_traces(entry_state["traces"]),
-                    signal=int(entry_state["signal"]),
-                    hints=frozenset(entry_state["hints"]),
-                    origin=int(entry_state["origin"]),
-                    epoch=int(entry_state["epoch"]),
-                    lineage=(
-                        self.provenance.record(
-                            LineageRecord.from_dict(entry_state["lineage"])
-                        )
-                        if entry_state.get("lineage") is not None else None
-                    ),
-                )
+                HubEntry.from_state(entry_state, table, self.provenance)
                 for entry_state in tail
             ]
             for shard, tail in state["backlog"].items()

@@ -58,13 +58,7 @@ def plant_target_call(
         return False
     spec = generator.table.lookup(target_syscall)
     position = len(program.calls)
-    producers: dict[str, list[int]] = {}
-    for index, call in enumerate(program.calls):
-        produced = call.spec.produces
-        kind = produced
-        while kind is not None:
-            producers.setdefault(kind.name, []).append(index)
-            kind = kind.parent
+    producers = generator.producers_in(program)
     for needed in spec.consumes():
         if needed.name not in producers:
             producer_specs = generator.table.producers_of(needed)

@@ -142,13 +142,7 @@ class MutationEngine:
         return applied
 
     def _insert_call(self, program: Program) -> None:
-        producers: dict[str, list[int]] = {}
-        for index, call in enumerate(program.calls):
-            produced = call.spec.produces
-            kind = produced
-            while kind is not None:
-                producers.setdefault(kind.name, []).append(index)
-                kind = kind.parent
+        producers = self.generator.producers_in(program)
         table = self.generator.table
         spec = table.specs[int(self.rng.integers(len(table.specs)))]
         position = int(self.rng.integers(0, len(program) + 1))

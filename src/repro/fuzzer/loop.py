@@ -22,7 +22,12 @@ from repro.fuzzer.engine import MutationEngine, MutationOutcome, MutationType
 from repro.kernel.build import Kernel
 from repro.kernel.coverage import Coverage
 from repro.kernel.executor import Executor
-from repro.observe import LabeledCounterMap, MetricsRegistry, Observer
+from repro.observe import (
+    CounterView,
+    LabeledCounterMap,
+    MetricsRegistry,
+    Observer,
+)
 from repro.observe.provenance import (
     SEED_ENGINE,
     LineageRecord,
@@ -49,48 +54,7 @@ class FuzzObservation:
     executions: int
 
 
-# Every FuzzStats counter, in declaration order.  Each one is a
-# ``fuzz.<name>`` series in the backing metrics registry.
-_FUZZ_COUNTERS = (
-    "executions",
-    "corpus_size",
-    # --- resilience accounting (fault-injected campaigns) ---
-    # Hung calls the watchdog converted into VM restarts.
-    "exec_timeouts",
-    "vm_restarts",
-    # Inference requests submitted to / completed by the serving tier.
-    "inference_submitted",
-    "inference_completed",
-    # Inference requests lost to timeouts/slot crashes (incl. in-flight
-    # predictions dropped by a checkpoint resume).
-    "inference_failures",
-    # Mutation queries routed to the heuristic localizer because the
-    # serving tier rejected the submission (queue full / breaker open).
-    "heuristic_fallbacks",
-    # Transient corpus-store write failures that were retried.
-    "corpus_write_retries",
-    # Circuit-breaker visibility, synced from InferenceStats at the end
-    # of a Snowplow run.
-    "breaker_trips",
-    # Times this run was restored from a campaign checkpoint.
-    "resumes",
-    # Frontier targets dropped because static analysis proved them
-    # unreachable (repro.analyze; only with an attached analysis).
-    "dead_targets_skipped",
-    # --- cluster accounting (repro.cluster) ---
-    # Corpus-hub sync round-trips, and entries pushed to / pulled from
-    # the hub by this worker.
-    "hub_syncs",
-    "hub_pushed",
-    "hub_pulled",
-)
-
-# Process incidents rather than simulated work: excluded from canonical
-# metric exports so kill+resume runs export byte-identically.
-_DIAGNOSTIC_COUNTERS = frozenset({"resumes"})
-
-
-class FuzzStats:
+class FuzzStats(CounterView):
     """Everything a campaign reports about one fuzzer run.
 
     Counter attributes keep the original dataclass surface
@@ -104,9 +68,46 @@ class FuzzStats:
     scalars.
     """
 
-    # Counters that sum when runs are merged (everything except the
-    # timeline, crashes, mutations, and breaker state).
-    _SUMMED = _FUZZ_COUNTERS
+    PREFIX = "fuzz"
+    # Every counter, in declaration order.  Each one is a ``fuzz.<name>``
+    # series in the backing metrics registry, sums when runs are merged,
+    # and is saved in loop checkpoints.
+    COUNTERS = (
+        "executions",
+        "corpus_size",
+        # --- resilience accounting (fault-injected campaigns) ---
+        # Hung calls the watchdog converted into VM restarts.
+        "exec_timeouts",
+        "vm_restarts",
+        # Inference requests submitted to / completed by the serving tier.
+        "inference_submitted",
+        "inference_completed",
+        # Inference requests lost to timeouts/slot crashes (incl.
+        # in-flight predictions dropped by a checkpoint resume).
+        "inference_failures",
+        # Mutation queries routed to the heuristic localizer because the
+        # serving tier rejected the submission (queue full / breaker open).
+        "heuristic_fallbacks",
+        # Transient corpus-store write failures that were retried.
+        "corpus_write_retries",
+        # Circuit-breaker visibility, synced from InferenceStats at the
+        # end of a Snowplow run.
+        "breaker_trips",
+        # Times this run was restored from a campaign checkpoint.
+        "resumes",
+        # Frontier targets dropped because static analysis proved them
+        # unreachable (repro.analyze; only with an attached analysis).
+        "dead_targets_skipped",
+        # --- cluster accounting (repro.cluster) ---
+        # Corpus-hub sync round-trips, and entries pushed to / pulled
+        # from the hub by this worker.
+        "hub_syncs",
+        "hub_pushed",
+        "hub_pulled",
+    )
+    # Process incidents rather than simulated work: excluded from
+    # canonical metric exports so kill+resume runs export byte-identically.
+    DIAGNOSTIC = frozenset({"resumes"})
 
     def __init__(
         self,
@@ -118,16 +119,7 @@ class FuzzStats:
         labels: dict | None = None,
         **counters,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = dict(labels or {})
-        self._instruments = {
-            name: self.registry.counter(
-                f"fuzz.{name}",
-                diagnostic=name in _DIAGNOSTIC_COUNTERS,
-                **self.labels,
-            )
-            for name in _FUZZ_COUNTERS
-        }
+        super().__init__(registry, labels, **counters)
         self._mutations = LabeledCounterMap(
             self.registry, "fuzz.mutations", "type", self.labels
         )
@@ -136,12 +128,6 @@ class FuzzStats:
         self.breaker_state = breaker_state
         if mutations:
             self._mutations.replace(dict(mutations))
-        for name, value in counters.items():
-            if name not in self._instruments:
-                raise TypeError(
-                    f"FuzzStats got an unexpected counter {name!r}"
-                )
-            self._instruments[name].set(value)
 
     @property
     def mutations(self):
@@ -151,12 +137,6 @@ class FuzzStats:
     @mutations.setter
     def mutations(self, mapping) -> None:
         self._mutations.replace(dict(mapping))
-
-    def counter_values(self) -> dict[str, int]:
-        return {
-            name: instrument.value
-            for name, instrument in self._instruments.items()
-        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzStats):
@@ -202,7 +182,7 @@ class FuzzStats:
             tuple(
                 (name, value)
                 for name, value in sorted(self.counter_values().items())
-                if name not in _DIAGNOSTIC_COUNTERS
+                if name not in self.DIAGNOSTIC
             ),
             tuple(sorted(dict(self.mutations).items())),
             tuple(
@@ -238,7 +218,7 @@ class FuzzStats:
         if not runs:
             return merged
         for stats in runs:
-            for counter in cls._SUMMED:
+            for counter in cls.COUNTERS:
                 setattr(
                     merged, counter,
                     getattr(merged, counter) + getattr(stats, counter),
@@ -286,21 +266,6 @@ class FuzzStats:
                 )
             )
         return merged
-
-
-def _counter_property(name: str) -> property:
-    def _get(self):
-        return self._instruments[name].value
-
-    def _set(self, value):
-        self._instruments[name].set(value)
-
-    return property(_get, _set, doc=f"view over the fuzz.{name} series")
-
-
-for _counter_name in _FUZZ_COUNTERS:
-    setattr(FuzzStats, _counter_name, _counter_property(_counter_name))
-del _counter_name
 
 
 class FuzzLoop:

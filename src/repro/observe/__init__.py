@@ -43,6 +43,7 @@ from .explain import (
 from .export import chrome_trace, flame_summary, load_spans_jsonl, spans_jsonl
 from .metrics import (
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     LabeledCounterMap,
@@ -85,6 +86,7 @@ __all__ = [
     "Alert",
     "BurnRateRule",
     "Counter",
+    "CounterView",
     "Delta",
     "Gauge",
     "Histogram",

@@ -37,6 +37,7 @@ from collections.abc import MutableMapping
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "LabeledCounterMap",
@@ -436,3 +437,76 @@ class LabeledCounterMap(MutableMapping):
             del self[key]
         for key, value in mapping.items():
             self[self._key_type(key)] = value
+
+
+def _instrument_property(prefix: str, name: str) -> property:
+    def _get(self):
+        return self._instruments[name].value
+
+    def _set(self, value):
+        self._instruments[name].set(value)
+
+    return property(_get, _set, doc=f"view over the {prefix}.{name} series")
+
+
+class CounterView:
+    """Attribute views over one family of registry counters.
+
+    ``FuzzStats``, ``InferenceStats`` and ``HubStats`` subclass this.  A
+    subclass names its series prefix in ``PREFIX`` and its counters in
+    ``COUNTERS``; each counter becomes a plain property over the
+    ``<prefix>.<name>`` series (``stats.executions += 1`` reads and sets
+    the registry counter directly — the fuzz loop does this on every
+    test).  Counters in ``DIAGNOSTIC`` count process incidents, not
+    simulated work, and stay out of canonical snapshots.
+    """
+
+    PREFIX = ""
+    COUNTERS: tuple[str, ...] = ()
+    DIAGNOSTIC: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in cls.__dict__.get("COUNTERS", ()):
+            setattr(cls, name, _instrument_property(cls.PREFIX, name))
+
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        labels: dict | None = None,
+        **counters,
+    ):
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.labels = dict(labels or {})
+        self._instruments = {
+            name: self.registry.counter(
+                f"{self.PREFIX}.{name}",
+                diagnostic=name in self.DIAGNOSTIC,
+                **self.labels,
+            )
+            for name in self.COUNTERS
+        }
+        for name, value in counters.items():
+            if name not in self._instruments:
+                raise TypeError(
+                    f"{type(self).__name__} got an unexpected counter {name!r}"
+                )
+            self._instruments[name].set(value)
+
+    def counter_values(self) -> dict[str, int]:
+        """Every counter by name, in ``COUNTERS`` order."""
+        return {
+            name: instrument.value
+            for name, instrument in self._instruments.items()
+        }
+
+    def restore_counters(self, values: dict) -> None:
+        """Set each counter named in ``values`` (other keys are ignored).
+
+        Restored in place, so the views keep pointing at the registry
+        series they were built over; a counter ``values`` lacks keeps
+        its current value.
+        """
+        for name, instrument in self._instruments.items():
+            if name in values:
+                instrument.set(int(values[name]))

@@ -46,7 +46,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import InferenceTimeout, ModelError
 from repro.faults import CircuitBreaker, FaultInjector
-from repro.observe import LabeledCounterMap, MetricsRegistry, Tracer
+from repro.observe import (
+    CounterView,
+    LabeledCounterMap,
+    MetricsRegistry,
+    Tracer,
+)
 
 __all__ = [
     "BatchingInferenceService",
@@ -59,22 +64,8 @@ __all__ = [
 TIMEOUT = "timeout"
 SLOT_CRASH = "slot_crash"
 
-# Every InferenceStats counter: a ``serve.<name>`` registry series.
-_SERVE_COUNTERS = (
-    "submitted",
-    "completed",
-    "rejected",
-    "shed",
-    "breaker_rejections",
-    "timeouts",
-    "slot_crashes",
-    "retries",
-    "failures",
-    "breaker_trips",
-)
 
-
-class InferenceStats:
+class InferenceStats(CounterView):
     """Serving counters for the §5.5 characterisation.
 
     ``rejected`` counts queue-full rejections (previously silent),
@@ -89,17 +80,26 @@ class InferenceStats:
     old dataclass is preserved as thin views.
     """
 
+    PREFIX = "serve"
+    COUNTERS = (
+        "submitted",
+        "completed",
+        "rejected",
+        "shed",
+        "breaker_rejections",
+        "timeouts",
+        "slot_crashes",
+        "retries",
+        "failures",
+        "breaker_trips",
+    )
+
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
         labels: dict | None = None,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = dict(labels or {})
-        self._instruments = {
-            name: self.registry.counter(f"serve.{name}", **self.labels)
-            for name in _SERVE_COUNTERS
-        }
+        super().__init__(registry, labels)
         self._latency = self.registry.counter(
             "serve.total_latency", **self.labels
         )
@@ -192,10 +192,7 @@ class InferenceStats:
 
     def state_dict(self) -> dict:
         return {
-            "counters": {
-                name: instrument.value
-                for name, instrument in self._instruments.items()
-            },
+            "counters": self.counter_values(),
             "breaker_state": self.breaker_state,
             "total_latency": self.total_latency,
             "queue_delay": self._queue_delay.state_dict(),
@@ -205,27 +202,11 @@ class InferenceStats:
         }
 
     def restore_state(self, state: dict) -> None:
-        for name, value in state["counters"].items():
-            self._instruments[name].set(value)
+        self.restore_counters(state["counters"])
         self.breaker_state = state["breaker_state"]
         self.total_latency = float(state["total_latency"])
         self._queue_delay.restore(state["queue_delay"])
         self.batch_sizes = state["batch_sizes"]
-
-
-def _serve_counter_property(name: str) -> property:
-    def _get(self):
-        return self._instruments[name].value
-
-    def _set(self, value):
-        self._instruments[name].set(value)
-
-    return property(_get, _set, doc=f"view over the serve.{name} series")
-
-
-for _counter_name in _SERVE_COUNTERS:
-    setattr(InferenceStats, _counter_name, _serve_counter_property(_counter_name))
-del _counter_name
 
 
 @dataclass(order=True)

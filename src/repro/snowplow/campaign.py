@@ -22,6 +22,7 @@ Each function reproduces one experimental protocol:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from repro.cluster import (
     SharedInferenceTier,
 )
 from repro.errors import CampaignError
-from repro.faults import CircuitBreaker, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.fuzzer.crash import CrashTriage, TriagedCrash
 from repro.fuzzer.directed import DirectedFuzzer, DirectedResult, SyzDirectLocalizer
 from repro.fuzzer.engine import MutationEngine, TypeSelector
@@ -51,7 +52,6 @@ from repro.kernel.executor import Executor
 from repro.observe import Observer
 from repro.pmm.dataset import DatasetConfig, MutationDataset, harvest_mutations
 from repro.pmm.metrics import SelectorMetrics
-from repro.pmm.serve import BatchingInferenceService, InferenceService
 from repro.pmm.model import PMM, PMMConfig
 from repro.pmm.train import TrainConfig, Trainer
 from repro.rng import derive_seed, make_rng, split
@@ -62,8 +62,14 @@ from repro.snowplow.checkpointing import (
     restore_cluster_state,
     restore_loop_state,
 )
-from repro.snowplow.fuzzer import PMMLocalizer, SnowplowConfig, SnowplowLoop
+from repro.snowplow.fuzzer import (
+    PMMLocalizer,
+    SnowplowConfig,
+    SnowplowLoop,
+    build_inference_service,
+)
 from repro.syzlang.generator import ProgramGenerator
+from repro.syzlang.program import Program
 from repro.vclock import CostModel, VirtualClock
 
 __all__ = [
@@ -78,6 +84,8 @@ __all__ = [
     "TrainedPMM",
     "build_cluster",
     "build_fuzz_loop",
+    "build_loop",
+    "campaign_seeds",
     "chaos_plan",
     "fuzz_campaign_config",
     "fuzz_run_seed",
@@ -180,24 +188,20 @@ class CoverageCampaignResult:
     def _grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, 97)
 
-    def _mean_series(self, runs: list[FuzzStats]) -> np.ndarray:
+    def _curves(self, runs: list[FuzzStats]) -> np.ndarray:
+        """Each run's edge curve resampled onto the grid, one row each."""
         grid = self._grid()
-        curves = []
-        for stats in runs:
-            times = [obs.time for obs in stats.observations]
-            edges = [obs.edges for obs in stats.observations]
-            curves.append(np.interp(grid, times, edges))
-        return np.mean(curves, axis=0)
+        return np.vstack([
+            np.interp(
+                grid,
+                [obs.time for obs in stats.observations],
+                [obs.edges for obs in stats.observations],
+            )
+            for stats in runs
+        ])
 
-    def _band(self, runs: list[FuzzStats]) -> tuple[np.ndarray, np.ndarray]:
-        grid = self._grid()
-        curves = []
-        for stats in runs:
-            times = [obs.time for obs in stats.observations]
-            edges = [obs.edges for obs in stats.observations]
-            curves.append(np.interp(grid, times, edges))
-        stacked = np.vstack(curves)
-        return stacked.min(axis=0), stacked.max(axis=0)
+    def _mean_series(self, runs: list[FuzzStats]) -> np.ndarray:
+        return self._curves(runs).mean(axis=0)
 
     @property
     def syzkaller_final_mean(self) -> float:
@@ -251,43 +255,36 @@ class CoverageCampaignResult:
     def bands_overlap_after(self, time: float) -> bool:
         """Whether the min/max bands still overlap after ``time``."""
         grid = self._grid()
-        _, syz_max = self._band(self.syzkaller_runs)
-        snow_min, _ = self._band(self.snowplow_runs)
+        syz_max = self._curves(self.syzkaller_runs).max(axis=0)
+        snow_min = self._curves(self.snowplow_runs).min(axis=0)
         mask = grid >= time
         return bool((syz_max[mask] >= snow_min[mask]).any())
 
 
-def _build_syzkaller_loop(
-    kernel: Kernel, run_seed: int, config: CampaignConfig,
+def build_loop(
+    kernel: Kernel,
+    trained: TrainedPMM | None,
+    run_seed: int,
+    config: CampaignConfig,
+    baseline: bool = False,
+    oracle: bool = False,
     injector: FaultInjector | None = None,
     observer: Observer | None = None,
-    worker: int = 0,
-) -> FuzzLoop:
-    executor = Executor(kernel, seed=derive_seed(run_seed, "exec"))
-    generator = ProgramGenerator(kernel.table, split(run_seed, "gen"))
-    engine = MutationEngine(
-        TypeSelector(), SyzkallerLocalizer(k=1), generator,
-        split(run_seed, "mutate"),
-    )
-    triage = CrashTriage(executor, known_crash_signatures(kernel))
-    clock = VirtualClock(horizon=config.horizon)
-    return FuzzLoop(
-        kernel, engine, executor, triage, clock, config.cost,
-        split(run_seed, "loop"), sample_interval=config.sample_interval,
-        injector=injector, observer=observer, worker=worker,
-    )
-
-
-def _build_snowplow_loop(
-    kernel: Kernel, trained: TrainedPMM, run_seed: int,
-    config: CampaignConfig, oracle: bool = False,
-    injector: FaultInjector | None = None,
-    service=None,
-    observer: Observer | None = None,
-    worker: int = 0,
     analysis=None,
     director=None,
-) -> SnowplowLoop:
+    service=None,
+    worker: int = 0,
+) -> FuzzLoop:
+    """An unseeded campaign loop: the Syzkaller baseline when
+    ``baseline=True``, else a Snowplow loop (oracle- or PMM-localized).
+
+    Every RNG stream derives from ``run_seed``, so two calls with the
+    same arguments build identical loops.  Campaigns start from
+    :func:`build_fuzz_loop`, which seeds this loop; a checkpoint is
+    restored onto a loop from this builder.  ``service`` is a view onto
+    a cluster's shared serving tier (None: the loop serves itself), and
+    ``worker`` is the loop's fleet index.
+    """
     executor = Executor(kernel, seed=derive_seed(run_seed, "exec"))
     generator = ProgramGenerator(kernel.table, split(run_seed, "gen"))
     engine = MutationEngine(
@@ -296,6 +293,15 @@ def _build_snowplow_loop(
     )
     triage = CrashTriage(executor, known_crash_signatures(kernel))
     clock = VirtualClock(horizon=config.horizon)
+    parts = (
+        kernel, engine, executor, triage, clock, config.cost,
+        split(run_seed, "loop"),
+    )
+    if baseline:
+        return FuzzLoop(
+            *parts, sample_interval=config.sample_interval,
+            injector=injector, observer=observer, worker=worker,
+        )
     if oracle:
         from repro.snowplow.oracle import OracleLocalizer
 
@@ -307,8 +313,7 @@ def _build_snowplow_loop(
             threshold=config.snowplow.prediction_threshold,
         )
     return SnowplowLoop(
-        kernel, engine, executor, triage, clock, config.cost,
-        split(run_seed, "loop"), sample_interval=config.sample_interval,
+        *parts, sample_interval=config.sample_interval,
         localizer=localizer, snowplow_config=config.snowplow,
         injector=injector, service=service, observer=observer,
         worker=worker, analysis=analysis, director=director,
@@ -373,21 +378,21 @@ def build_fuzz_loop(
     which is what makes standalone-vs-multiplexed bit-identity a
     structural property instead of a test-time coincidence.
     """
-    if baseline:
-        loop: FuzzLoop = _build_syzkaller_loop(
-            kernel, run_seed, config, injector=injector, observer=observer,
-        )
-    else:
-        loop = _build_snowplow_loop(
-            kernel, trained, run_seed, config, oracle=oracle,
-            injector=injector, observer=observer, analysis=analysis,
-            director=director,
-        )
-    seeds = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
-    loop.seed(seeds)
+    loop = build_loop(
+        kernel, trained, run_seed, config, baseline=baseline,
+        oracle=oracle, injector=injector, observer=observer,
+        analysis=analysis, director=director,
+    )
+    loop.seed(campaign_seeds(kernel, run_seed, config.seed_corpus_size))
     return loop
+
+
+def campaign_seeds(kernel: Kernel, run_seed: int, size: int) -> list[Program]:
+    """The seed corpus every arm and worker built from ``run_seed``
+    starts from (the ``(run_seed, "seed-corpus")`` stream)."""
+    return ProgramGenerator(
+        kernel.table, split(run_seed, "seed-corpus")
+    ).seed_corpus(size)
 
 
 def run_coverage_campaign(
@@ -405,17 +410,14 @@ def run_coverage_campaign(
     snowplow_runs: list[FuzzStats] = []
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, "run", run, kernel.version)
-        seeds = ProgramGenerator(
-            kernel.table, split(run_seed, "seed-corpus")
-        ).seed_corpus(config.seed_corpus_size)
-        syz = _build_syzkaller_loop(kernel, run_seed, config)
-        syz.seed(seeds)
-        syzkaller_runs.append(syz.run())
-        snow = _build_snowplow_loop(
-            kernel, trained, run_seed, config, oracle=oracle
+        syzkaller_runs.append(
+            build_fuzz_loop(kernel, None, run_seed, config, baseline=True)
+            .run()
         )
-        snow.seed(seeds)
-        snowplow_runs.append(snow.run())
+        snowplow_runs.append(
+            build_fuzz_loop(kernel, trained, run_seed, config, oracle=oracle)
+            .run()
+        )
     return CoverageCampaignResult(
         kernel_version=kernel.version,
         horizon=config.horizon,
@@ -477,15 +479,11 @@ def run_crash_campaign(
     syzkaller_crashes: list[list[TriagedCrash]] = []
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, "crash-run", run, kernel.version)
-        seeds = ProgramGenerator(
-            kernel.table, split(run_seed, "seed-corpus")
-        ).seed_corpus(config.seed_corpus_size)
-        syz = _build_syzkaller_loop(kernel, run_seed, config)
-        syz.seed(seeds)
-        syz_stats = syz.run()
+        syz_stats = build_fuzz_loop(
+            kernel, None, run_seed, config, baseline=True
+        ).run()
         syzkaller_crashes.append(list(syz_stats.crashes))
-        snow = _build_snowplow_loop(kernel, trained, run_seed, config)
-        snow.seed(seeds)
+        snow = build_fuzz_loop(kernel, trained, run_seed, config)
         snow_stats = snow.run()
         if reproduce:
             for crash in snow_stats.crashes:
@@ -565,25 +563,19 @@ def run_fault_tolerance_campaign(
             f"checkpoint interval must be positive, got {checkpoint_interval}"
         )
     run_seed = derive_seed(config.seed, "fault-run", kernel.version)
-    seeds = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
 
     # Reference: the same seed with nothing failing.
-    clean = _build_snowplow_loop(kernel, trained, run_seed, config)
-    clean.seed(seeds)
-    fault_free = clean.run()
+    fault_free = build_fuzz_loop(kernel, trained, run_seed, config).run()
 
     # Degraded: same seed, same construction, faults injected.  Only
     # the faulted loop is observed — an observer shared with the clean
     # loop would collide on the unlabeled per-worker series.
     injector = FaultInjector(plan)
     observer = Observer() if observe else None
-    loop = _build_snowplow_loop(
+    loop = build_fuzz_loop(
         kernel, trained, run_seed, config, injector=injector,
         observer=observer,
     )
-    loop.seed(seeds)
     store = (
         CheckpointStore(checkpoint_dir, injector=injector)
         if checkpoint_dir is not None else None
@@ -608,18 +600,20 @@ def run_fault_tolerance_campaign(
             # carries the telemetry recorded up to the last save, so a
             # resumed run's exports replay from durable state alone.
             observer = Observer() if observe else None
-            loop = _build_snowplow_loop(
-                kernel, trained, run_seed, config,
-                injector=FaultInjector(plan),
-                observer=observer,
-            )
             if last_state is not None:
+                loop = build_loop(
+                    kernel, trained, run_seed, config,
+                    injector=FaultInjector(plan), observer=observer,
+                )
                 restore_loop_state(loop, last_state)
             else:
                 # Crashed before the first checkpoint: restart from the
                 # seed corpus, which is all a worker with no durable
                 # state can do.
-                loop.seed(seeds)
+                loop = build_fuzz_loop(
+                    kernel, trained, run_seed, config,
+                    injector=FaultInjector(plan), observer=observer,
+                )
                 loop.stats.resumes += 1
             resumed = True
             continue
@@ -682,50 +676,10 @@ def _build_shared_tier(
         program, coverage, targets, _ = query
         return localizer.localize(program, coverage, targets, serve_rng)
 
-    latency = config.cost.inference_latency
-    breaker = CircuitBreaker(
-        failure_threshold=cfg.breaker_failure_threshold,
-        reset_timeout=cfg.breaker_reset_factor * latency,
+    service = build_inference_service(
+        predict, cfg, config.cost.inference_latency, injector=injector,
+        observer=observer, batched=True,
     )
-    registry = observer.registry if observer is not None else None
-    tracer = observer.tracer if observer is not None else None
-    shed_timeout = (
-        cfg.shed_timeout_factor * latency
-        if cfg.shed_timeout_factor is not None else None
-    )
-    if cfg.max_batch_size > 1:
-        service: InferenceService = BatchingInferenceService(
-            predict_fn=predict,
-            base_latency=cfg.batch_base_factor * latency,
-            marginal_latency=cfg.batch_marginal_factor * latency,
-            max_batch_size=cfg.max_batch_size,
-            batch_timeout=cfg.batch_timeout_factor * latency,
-            servers=cfg.servers,
-            max_queue=cfg.max_queue,
-            deadline=cfg.request_deadline_factor * latency,
-            max_retries=cfg.max_retries,
-            retry_backoff=cfg.retry_backoff_factor * latency,
-            injector=injector,
-            breaker=breaker,
-            registry=registry,
-            tracer=tracer,
-            shed_timeout=shed_timeout,
-        )
-    else:
-        service = InferenceService(
-            predict_fn=predict,
-            latency=latency,
-            servers=cfg.servers,
-            max_queue=cfg.max_queue,
-            deadline=cfg.request_deadline_factor * latency,
-            max_retries=cfg.max_retries,
-            retry_backoff=cfg.retry_backoff_factor * latency,
-            injector=injector,
-            breaker=breaker,
-            registry=registry,
-            tracer=tracer,
-            shed_timeout=shed_timeout,
-        )
     return SharedInferenceTier(service)
 
 
@@ -755,9 +709,7 @@ def build_cluster(
     workers with deterministically reseeded loops.
     """
     cluster_config = cluster_config or ClusterConfig()
-    seeds = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
+    seeds = campaign_seeds(kernel, run_seed, config.seed_corpus_size)
     registry = observer.registry if observer is not None else None
     if cluster_config.shards > 1:
         hub: CorpusHub = ShardedHub(
@@ -775,17 +727,12 @@ def build_cluster(
     def loop_factory(index: int, seed: int) -> FuzzLoop:
         # Shared between generation-0 construction and supervisor
         # restarts: only the seed differs across a worker's generations.
-        if baseline:
-            loop: FuzzLoop = _build_syzkaller_loop(
-                kernel, seed, config, injector=injector,
-                observer=observer, worker=index,
-            )
-        else:
-            loop = _build_snowplow_loop(
-                kernel, trained, seed, config, oracle=oracle,
-                injector=injector, service=tier.view(index),
-                observer=observer, worker=index,
-            )
+        loop = build_loop(
+            kernel, trained, seed, config, baseline=baseline,
+            oracle=oracle, injector=injector, observer=observer,
+            service=tier.view(index) if tier is not None else None,
+            worker=index,
+        )
         loop.seed(seeds)
         return loop
 
@@ -878,15 +825,7 @@ def run_scaling_campaign(
         observer = Observer() if observe else None
         cluster = build_cluster(
             kernel, trained, run_seed, config,
-            cluster_config=ClusterConfig(
-                workers=count,
-                sync_interval=base.sync_interval,
-                sync_cost=base.sync_cost,
-                shards=base.shards,
-                heartbeat_deadline=base.heartbeat_deadline,
-                supervise_interval=base.supervise_interval,
-                max_sync_retries=base.max_sync_retries,
-            ),
+            cluster_config=dataclasses.replace(base, workers=count),
             baseline=baseline, oracle=oracle, observer=observer,
         )
         result = cluster.run()
@@ -1075,34 +1014,28 @@ def run_chaos_campaign(
     run_seed = derive_seed(config.seed, "chaos", kernel.version)
     plan = plan or chaos_plan(config.seed, config.horizon, cluster_config)
 
-    clean_cluster = build_cluster(
-        kernel, trained, run_seed, config,
-        cluster_config=cluster_config, baseline=baseline, oracle=oracle,
-    )
-    clean_result = clean_cluster.run()
+    def fleet(faulted: bool) -> ClusterFuzzer:
+        return build_cluster(
+            kernel, trained, run_seed, config,
+            cluster_config=cluster_config, baseline=baseline, oracle=oracle,
+            injector=FaultInjector(plan) if faulted else None,
+            observer=Observer() if faulted and observe else None,
+        )
+
+    clean_result = fleet(faulted=False).run()
 
     # The chaos run proper is interrupted at 80% of the horizon and
     # finished twice from the same serialized checkpoint; the first
     # restore's completion is reported as *the* chaos run.
     ckpt_at = 0.8 * config.horizon
-    probe = build_cluster(
-        kernel, trained, run_seed, config,
-        cluster_config=cluster_config, baseline=baseline, oracle=oracle,
-        injector=FaultInjector(plan),
-        observer=Observer() if observe else None,
-    )
+    probe = fleet(faulted=True)
     probe.run_until(ckpt_at)
     state = json.loads(json.dumps(cluster_state(probe)))
 
     resumed: list[ClusterFuzzer] = []
     results: list[ClusterResult] = []
     for _ in range(2):
-        cluster = build_cluster(
-            kernel, trained, run_seed, config,
-            cluster_config=cluster_config, baseline=baseline,
-            oracle=oracle, injector=FaultInjector(plan),
-            observer=Observer() if observe else None,
-        )
+        cluster = fleet(faulted=True)
         restore_cluster_state(cluster, state)
         resumed.append(cluster)
         results.append(cluster.run())
@@ -1320,25 +1253,17 @@ def run_patch_campaign(
     run_seed = derive_seed(
         config.seed, "patch", old_kernel.version, new_kernel.version
     )
-    seeds = ProgramGenerator(
-        new_kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
-
     plain_director = PatchDirector(new_kernel, manifest, observe_only=True)
-    plain_loop = _build_snowplow_loop(
+    plain_stats = build_fuzz_loop(
         new_kernel, None, run_seed, config, oracle=True,
         director=plain_director,
-    )
-    plain_loop.seed(seeds)
-    plain_stats = plain_loop.run()
+    ).run()
 
     directed_director = PatchDirector(new_kernel, manifest)
-    directed_loop = _build_snowplow_loop(
+    directed_stats = build_fuzz_loop(
         new_kernel, None, run_seed, config, oracle=True,
         director=directed_director,
-    )
-    directed_loop.seed(seeds)
-    directed_stats = directed_loop.run()
+    ).run()
 
     return PatchCampaignResult(
         from_version=old_kernel.version,

@@ -66,13 +66,6 @@ _FORMAT_VERSION = 7
 # Transient checkpoint-store write failures retried before giving up.
 _WRITE_ATTEMPTS = 5
 
-_STATS_COUNTERS = (
-    "executions", "corpus_size", "exec_timeouts", "vm_restarts",
-    "inference_submitted", "inference_completed",
-    "inference_failures", "heuristic_fallbacks", "corpus_write_retries",
-    "breaker_trips", "resumes", "hub_syncs", "hub_pushed", "hub_pulled",
-)
-
 
 # ----- capture -----
 
@@ -144,7 +137,7 @@ def loop_state(loop: FuzzLoop, include_observer: bool = True) -> dict:
 
 
 def _stats_state(stats: FuzzStats) -> dict:
-    state = {key: getattr(stats, key) for key in _STATS_COUNTERS}
+    state: dict = stats.counter_values()
     state["breaker_state"] = stats.breaker_state
     state["mutations"] = dict(stats.mutations)
     state["observations"] = [
@@ -255,8 +248,7 @@ def _restore_stats(loop: FuzzLoop, state: dict) -> FuzzStats:
     stats = loop.stats
     stats.observations = []
     stats.crashes = []
-    for key in _STATS_COUNTERS:
-        setattr(stats, key, int(state.get(key, 0)))
+    stats.restore_counters(state)
     stats.breaker_state = str(state["breaker_state"])
     stats.mutations = {
         str(key): int(value) for key, value in state["mutations"].items()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.faults import CircuitBreaker
+from repro.faults import CircuitBreaker, FaultInjector
 from repro.fuzzer.corpus import CorpusEntry
 from repro.fuzzer.engine import MutationEngine, MutationOutcome, TypeSelector
 from repro.fuzzer.loop import FuzzLoop, FuzzStats
@@ -29,10 +29,16 @@ from repro.graphs.encode import GraphEncoder
 from repro.kernel.build import Kernel
 from repro.kernel.coverage import Coverage
 from repro.pmm.model import PMM
-from repro.pmm.serve import InferenceService
+from repro.observe import Observer
+from repro.pmm.serve import BatchingInferenceService, InferenceService
 from repro.syzlang.program import ArgPath, Program
 
-__all__ = ["PMMLocalizer", "SnowplowConfig", "SnowplowLoop"]
+__all__ = [
+    "PMMLocalizer",
+    "SnowplowConfig",
+    "SnowplowLoop",
+    "build_inference_service",
+]
 
 
 @dataclass
@@ -95,6 +101,52 @@ class SnowplowConfig:
     # back to the heuristic localizer instead of queueing stale work).
     # None keeps the historical queue-until-full behaviour.
     shed_timeout_factor: float | None = None
+
+
+def build_inference_service(
+    predict_fn,
+    config: SnowplowConfig,
+    latency: float,
+    injector: FaultInjector | None = None,
+    observer: Observer | None = None,
+    batched: bool = False,
+) -> InferenceService:
+    """The serving tier ``config`` describes, at ``latency`` virtual
+    seconds per unbatched inference.
+
+    Deadline, retry backoff, shed timeout and breaker reset are
+    ``config`` factors of ``latency``; ``observer`` supplies the metrics
+    registry and tracer.  ``batched=True`` (a cluster's shared tier)
+    batches requests when ``config.max_batch_size > 1``.
+    """
+    common = dict(
+        servers=config.servers,
+        max_queue=config.max_queue,
+        deadline=config.request_deadline_factor * latency,
+        max_retries=config.max_retries,
+        retry_backoff=config.retry_backoff_factor * latency,
+        injector=injector,
+        breaker=CircuitBreaker(
+            failure_threshold=config.breaker_failure_threshold,
+            reset_timeout=config.breaker_reset_factor * latency,
+        ),
+        registry=observer.registry if observer is not None else None,
+        tracer=observer.tracer if observer is not None else None,
+        shed_timeout=(
+            config.shed_timeout_factor * latency
+            if config.shed_timeout_factor is not None else None
+        ),
+    )
+    if batched and config.max_batch_size > 1:
+        return BatchingInferenceService(
+            predict_fn,
+            base_latency=config.batch_base_factor * latency,
+            marginal_latency=config.batch_marginal_factor * latency,
+            max_batch_size=config.max_batch_size,
+            batch_timeout=config.batch_timeout_factor * latency,
+            **common,
+        )
+    return InferenceService(predict_fn, latency=latency, **common)
 
 
 class PMMLocalizer:
@@ -216,35 +268,16 @@ class SnowplowLoop(FuzzLoop):
         self.director = director
         self._directed_last = False
         cfg = self.snowplow_config
-        latency = self.cost.inference_latency
         # A cluster hands every worker a view onto one shared serving
-        # tier; standalone loops build their own private service.
+        # tier; standalone loops build their own private, unbatched
+        # service.
         self._owns_service = service is None
         if service is not None:
             self.service = service
         else:
-            self.service = InferenceService(
-                predict_fn=self._predict,
-                latency=latency,
-                servers=cfg.servers,
-                max_queue=cfg.max_queue,
-                deadline=cfg.request_deadline_factor * latency,
-                max_retries=cfg.max_retries,
-                retry_backoff=cfg.retry_backoff_factor * latency,
-                shed_timeout=(
-                    cfg.shed_timeout_factor * latency
-                    if cfg.shed_timeout_factor is not None else None
-                ),
-                injector=self.injector,
-                breaker=CircuitBreaker(
-                    failure_threshold=cfg.breaker_failure_threshold,
-                    reset_timeout=cfg.breaker_reset_factor * latency,
-                ),
-                registry=(
-                    self.observer.registry
-                    if self.observer is not None else None
-                ),
-                tracer=self.tracer,
+            self.service = build_inference_service(
+                self._predict, cfg, self.cost.inference_latency,
+                injector=self.injector, observer=self.observer,
             )
         # The oracle localizer has no profiler hook; only the PMM path
         # attributes graph-build/GNN time.

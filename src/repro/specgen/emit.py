@@ -20,9 +20,8 @@ non-default field is emitted explicitly.
 
 from __future__ import annotations
 
-import string as _string
-
-from repro.errors import ParseError, SpecError
+from repro.errors import SpecError
+from repro.syzlang.parser import _Cursor
 from repro.syzlang.spec import SyscallSpec, SyscallTable
 from repro.syzlang.types import (
     ArrayType,
@@ -185,77 +184,6 @@ def serialize_table(table: SyscallTable, comment: str = "") -> str:
 # --------------------------------------------------------------------
 
 
-class _Cursor:
-    """A scanning cursor over one table line (parser.py idiom)."""
-
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(f"{message} (at column {self.pos})", self.line)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_spaces(self) -> None:
-        while self.peek() == " ":
-            self.pos += 1
-
-    def expect(self, char: str) -> None:
-        self.skip_spaces()
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def try_consume(self, char: str) -> bool:
-        self.skip_spaces()
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def ident(self) -> str:
-        self.skip_spaces()
-        start = self.pos
-        while self.peek() and (self.peek().isalnum() or self.peek() in "_$"):
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an identifier")
-        return self.text[start : self.pos]
-
-    def number(self) -> int:
-        self.skip_spaces()
-        start = self.pos
-        if self.text.startswith("0x", self.pos):
-            self.pos += 2
-            while self.peek() in _string.hexdigits:
-                self.pos += 1
-            if self.pos == start + 2:
-                raise self.error("expected hex digits after 0x")
-            return int(self.text[start + 2 : self.pos], 16)
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected a number")
-        return int(self.text[start : self.pos])
-
-    def hex_bytes(self) -> bytes:
-        self.skip_spaces()
-        start = self.pos
-        while self.peek() and self.peek() in _string.hexdigits:
-            self.pos += 1
-        literal = self.text[start : self.pos]
-        if not literal or len(literal) % 2:
-            raise self.error("expected an even-length hex byte string")
-        return bytes.fromhex(literal)
-
-    def at_end(self) -> bool:
-        self.skip_spaces()
-        return self.pos >= len(self.text)
-
-
 def _parse_type(cursor: _Cursor, kinds: dict[str, ResourceKind]) -> Type:
     head = cursor.ident()
     if head == "int":
@@ -339,7 +267,13 @@ def _parse_type(cursor: _Cursor, kinds: dict[str, ResourceKind]) -> Type:
         )
     if head == "ptr":
         cursor.expect("[")
-        direction = Direction(cursor.ident())
+        direction_name = cursor.ident()
+        try:
+            direction = Direction(direction_name)
+        except ValueError:
+            raise cursor.error(
+                f"unknown pointer direction {direction_name!r}"
+            ) from None
         cursor.expect(",")
         optional = False
         mark = cursor.pos

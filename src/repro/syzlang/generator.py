@@ -181,7 +181,9 @@ class ProgramGenerator:
         ]
         return Call(spec, args)
 
-    def _producers_in(self, program: Program) -> dict[str, list[int]]:
+    def producers_in(self, program: Program) -> dict[str, list[int]]:
+        """Resource-kind name -> indices of the calls in ``program``
+        producing it (a child kind's producers count for its parents)."""
         producers: dict[str, list[int]] = {}
         for index, call in enumerate(program.calls):
             produced = call.spec.produces
@@ -203,7 +205,7 @@ class ProgramGenerator:
             )
         program = Program()
         for _ in range(length):
-            producers = self._producers_in(program)
+            producers = self.producers_in(program)
             spec = self._pick_spec(producers)
             # If the spec consumes a resource we cannot satisfy, prepend a
             # producer first (resource-aware generation).
@@ -217,7 +219,7 @@ class ProgramGenerator:
                         program.calls.append(
                             self.random_call(producer, producers)
                         )
-                        producers = self._producers_in(program)
+                        producers = self.producers_in(program)
             program.calls.append(self.random_call(spec, producers))
         program.resolve_len_fields()
         return program

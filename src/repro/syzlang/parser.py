@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import string as _string
 
-from repro.errors import ParseError, ProgramError
+from repro.errors import ParseError, ProgramError, SpecError
 from repro.syzlang.program import (
     ArrayValue,
     BufferValue,
@@ -144,7 +144,12 @@ def _unescape_text(text: str) -> bytes:
         if char == "\\":
             if index + 3 >= len(text) or text[index + 1] != "x":
                 raise ParseError(f"bad escape in string literal: {text!r}")
-            out.append(int(text[index + 2 : index + 4], 16))
+            try:
+                out.append(int(text[index + 2 : index + 4], 16))
+            except ValueError:
+                raise ParseError(
+                    f"bad escape in string literal: {text!r}"
+                ) from None
             index += 4
         else:
             out.append(ord(char))
@@ -158,9 +163,16 @@ def _unescape_text(text: str) -> bytes:
 
 
 class _Cursor:
-    """A tiny scanning cursor over one line."""
+    """A tiny scanning cursor over one line of syz text.
 
-    def __init__(self, text: str, line: int):
+    Shared by the program parser here and the table parser in
+    :mod:`repro.specgen.emit`.  Every scan loop is bounded by the line
+    length: at the end of a line ``peek()`` returns ``""``, which ``in``
+    treats as a member of any string, so an unbounded ``peek() in ...``
+    loop would never stop.
+    """
+
+    def __init__(self, text: str, line: int) -> None:
         self.text = text
         self.pos = 0
         self.line = line
@@ -188,43 +200,70 @@ class _Cursor:
             return True
         return False
 
+    def at_end(self) -> bool:
+        self.skip_spaces()
+        return self.pos >= len(self.text)
+
     def ident(self) -> str:
         self.skip_spaces()
-        start = self.pos
-        while self.peek().isalnum() or self.peek() in "_$":
-            self.pos += 1
-        if start == self.pos:
+        text, start, end = self.text, self.pos, len(self.text)
+        pos = start
+        while pos < end and (text[pos].isalnum() or text[pos] in "_$"):
+            pos += 1
+        if pos == start:
             raise self.error("expected an identifier")
-        return self.text[start : self.pos]
+        self.pos = pos
+        return text[start:pos]
+
+    def _hex_run(self, pos: int) -> int:
+        """End of the run of hex digits starting at ``pos``."""
+        text, end = self.text, len(self.text)
+        while pos < end and text[pos] in _string.hexdigits:
+            pos += 1
+        return pos
 
     def number(self) -> int:
         self.skip_spaces()
-        start = self.pos
-        if self.text.startswith("0x", self.pos):
-            self.pos += 2
-            while self.peek() in _string.hexdigits:
-                self.pos += 1
+        text, start = self.text, self.pos
+        if text.startswith("0x", start):
+            self.pos = self._hex_run(start + 2)
             if self.pos == start + 2:
                 raise self.error("expected hex digits after 0x")
-            return int(self.text[start + 2 : self.pos], 16)
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
+            return int(text[start + 2 : self.pos], 16)
+        pos, end = start, len(text)
+        while pos < end and text[pos].isdigit():
+            pos += 1
+        if pos == start:
             raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+        self.pos = pos
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            # isdigit() also accepts digits int() rejects, such as "²".
+            raise self.error(f"bad number {text[start:pos]!r}") from None
+
+    def hex_bytes(self) -> bytes:
+        self.skip_spaces()
+        start = self.pos
+        self.pos = self._hex_run(start)
+        literal = self.text[start : self.pos]
+        if not literal or len(literal) % 2:
+            raise self.error("expected an even-length hex byte string")
+        return bytes.fromhex(literal)
 
     def quoted(self, quote: str) -> str:
         self.expect(quote)
-        start = self.pos
-        while self.peek() and self.peek() != quote:
-            if self.peek() == "\\":
-                self.pos += 1
-            self.pos += 1
-        if self.peek() != quote:
+        text, start, end = self.text, self.pos, len(self.text)
+        pos = start
+        while pos < end and text[pos] != quote:
+            if text[pos] == "\\":
+                pos += 1
+            pos += 1
+        self.pos = pos
+        if pos >= end:
             raise self.error("unterminated string literal")
-        literal = self.text[start : self.pos]
         self.pos += 1
-        return literal
+        return text[start:pos]
 
 
 def _strip_comment(line: str) -> str:
@@ -381,7 +420,10 @@ def _parse_flags(cursor: _Cursor, ty: FlagsType) -> IntValue:
     value = 0
     while True:
         name = cursor.ident()
-        value |= ty.value_of(name)
+        try:
+            value |= ty.value_of(name)
+        except SpecError as error:
+            raise cursor.error(str(error)) from None
         if not cursor.try_consume("|"):
             break
     return IntValue(ty, value)

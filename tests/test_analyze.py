@@ -2,6 +2,7 @@
 dependency oracle, witness soundness, and the lint framework."""
 
 import copy
+import json
 
 import pytest
 
@@ -31,7 +32,8 @@ from repro.kernel.conditions import ArgCondition, CondOp, StateCondition
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig, evaluate_selector
 from repro.rng import derive_seed, make_rng, split
 from repro.snowplow import CampaignConfig, train_pmm
-from repro.snowplow.campaign import _build_snowplow_loop
+from repro.snowplow.campaign import build_fuzz_loop, build_loop
+from repro.snowplow.checkpointing import loop_state, restore_loop_state
 from repro.syzlang import ProgramGenerator
 
 
@@ -463,7 +465,7 @@ class TestFuzzerIntegration:
             sample_interval=300.0,
         )
         run_seed = derive_seed(config.seed, "analyze-test", 0)
-        loop = _build_snowplow_loop(
+        loop = build_loop(
             tiny_68, None, run_seed, config, oracle=True,
             analysis=reach_68,
         )
@@ -475,13 +477,39 @@ class TestFuzzerIntegration:
         assert loop.stats.dead_targets_skipped > before
         assert targets is None or dead_id not in targets
 
+    def test_checkpoint_carries_every_counter(self, tiny_68, reach_68):
+        """A loop checkpoint restores every FuzzStats counter.  Run with
+        no observer: its registry restore would carry the series anyway
+        and hide a counter the checkpoint itself dropped."""
+        config = CampaignConfig(
+            horizon=3600.0, runs=1, seed=11, seed_corpus_size=10,
+            sample_interval=300.0,
+        )
+        run_seed = derive_seed(config.seed, "analyze-test", 2)
+        loop = build_fuzz_loop(
+            tiny_68, None, run_seed, config, oracle=True, analysis=reach_68,
+        )
+        loop.run_until(config.horizon / 2)
+        state = json.loads(json.dumps(loop_state(loop)))
+        saved = loop.stats.counter_values()
+        assert saved["dead_targets_skipped"] > 0
+        fresh = build_loop(
+            tiny_68, None, run_seed, config, oracle=True, analysis=reach_68,
+        )
+        restore_loop_state(fresh, state)
+        restored = fresh.stats.counter_values()
+        # The resume itself, and the in-flight requests it lost.
+        saved["resumes"] += 1
+        saved["inference_failures"] += state["service"]["lost_in_flight"]
+        assert restored == saved
+
     def test_loop_without_analysis_unchanged(self, tiny_68):
         config = CampaignConfig(
             horizon=600.0, runs=1, seed=11, seed_corpus_size=6,
             sample_interval=300.0,
         )
         run_seed = derive_seed(config.seed, "analyze-test", 1)
-        loop = _build_snowplow_loop(tiny_68, None, run_seed, config,
+        loop = build_loop(tiny_68, None, run_seed, config,
                                     oracle=True)
         seeds = ProgramGenerator(
             tiny_68.table, split(run_seed, "s")

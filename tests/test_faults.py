@@ -39,8 +39,7 @@ from repro.snowplow import (
     train_pmm,
 )
 from repro.snowplow.campaign import (
-    _build_snowplow_loop,
-    _build_syzkaller_loop,
+    build_loop,
     run_fault_tolerance_campaign,
 )
 from repro.snowplow.checkpointing import loop_state, restore_loop_state
@@ -389,7 +388,9 @@ class TestCheckpointFiles:
 
 class TestCheckpointResume:
     def _seeded_loop(self, kernel, run_seed, config, injector=None):
-        loop = _build_syzkaller_loop(kernel, run_seed, config, injector)
+        loop = build_loop(
+            kernel, None, run_seed, config, baseline=True, injector=injector
+        )
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(8)
@@ -408,7 +409,7 @@ class TestCheckpointResume:
         state = json.loads(json.dumps(loop_state(loop)))
         finals = []
         for _ in range(2):
-            fresh = _build_syzkaller_loop(kernel, run_seed, config)
+            fresh = build_loop(kernel, None, run_seed, config, baseline=True)
             restore_loop_state(fresh, state)
             fresh.run_until(config.horizon)
             finals.append(fresh.finalize())
@@ -428,7 +429,9 @@ class TestCheckpointResume:
         state = json.loads(json.dumps(loop_state(continuous)))
         continuous.run_until(config.horizon)
         uninterrupted = continuous.finalize()
-        resumed_loop = _build_syzkaller_loop(kernel, run_seed, config)
+        resumed_loop = build_loop(
+            kernel, None, run_seed, config, baseline=True
+        )
         restore_loop_state(resumed_loop, state)
         resumed_loop.run_until(config.horizon)
         resumed = resumed_loop.finalize()
@@ -453,8 +456,9 @@ class TestCheckpointResume:
         state = json.loads(json.dumps(loop_state(continuous)))
         continuous.run_until(config.horizon)
         uninterrupted = continuous.finalize()
-        fresh = _build_syzkaller_loop(
-            kernel, run_seed, config, FaultInjector(plan)
+        fresh = build_loop(
+            kernel, None, run_seed, config, baseline=True,
+            injector=FaultInjector(plan),
         )
         restore_loop_state(fresh, state)
         fresh.run_until(config.horizon)
@@ -471,7 +475,7 @@ class TestCheckpointResume:
         loop = self._seeded_loop(kernel, run_seed, config)
         loop.run_until(300.0)
         state = loop_state(loop)
-        other = _build_syzkaller_loop(kernel_69, run_seed, config)
+        other = build_loop(kernel_69, None, run_seed, config, baseline=True)
         with pytest.raises(CheckpointError):
             restore_loop_state(other, state)
 
@@ -483,7 +487,7 @@ class TestSnowplowResume:
             sample_interval=300.0,
         )
         run_seed = derive_seed(11, "snow")
-        loop = _build_snowplow_loop(kernel, trained, run_seed, config)
+        loop = build_loop(kernel, trained, run_seed, config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(8)
@@ -493,7 +497,7 @@ class TestSnowplowResume:
         state = json.loads(json.dumps(loop_state(loop)))
         finals = []
         for _ in range(2):
-            fresh = _build_snowplow_loop(kernel, trained, run_seed, config)
+            fresh = build_loop(kernel, trained, run_seed, config)
             restore_loop_state(fresh, state)
             fresh.run_until(config.horizon)
             finals.append(fresh.finalize())
@@ -573,7 +577,7 @@ class TestFaultToleranceCampaign:
         plan = FaultPlan(seed=4).with_window("inference", 300.0, 1200.0)
         run_seed = derive_seed(19, "breaker")
         injector = FaultInjector(plan)
-        loop = _build_snowplow_loop(
+        loop = build_loop(
             kernel, trained, run_seed, config, injector=injector
         )
         seeds = ProgramGenerator(

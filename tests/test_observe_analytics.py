@@ -44,7 +44,7 @@ from repro.observe import (
 )
 from repro.rng import split
 from repro.snowplow import CampaignConfig, loop_state, restore_loop_state
-from repro.snowplow.campaign import _build_syzkaller_loop
+from repro.snowplow.campaign import build_loop
 from repro.syzlang import ProgramGenerator
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -531,7 +531,9 @@ def _stalling_campaign(horizon=15000.0):
     observer = Observer(
         slo=SLOEngine(default_fuzz_rules(stall_window=1500.0))
     )
-    loop = _build_syzkaller_loop(kernel, 5, config, observer=observer)
+    loop = build_loop(
+        kernel, None, 5, config, baseline=True, observer=observer
+    )
     seeds = ProgramGenerator(
         kernel.table, split(5, "seed-corpus")
     ).seed_corpus(config.seed_corpus_size)
@@ -567,7 +569,9 @@ class TestCheckpointV7:
             horizon=1200.0, runs=1, seed=3, seed_corpus_size=8,
             sample_interval=300.0,
         )
-        loop = _build_syzkaller_loop(kernel, 9, config, observer=Observer())
+        loop = build_loop(
+            kernel, None, 9, config, baseline=True, observer=Observer()
+        )
         seeds = ProgramGenerator(
             kernel.table, split(9, "seed-corpus")
         ).seed_corpus(8)
@@ -582,8 +586,8 @@ class TestCheckpointV7:
                 horizon=2400.0, runs=1, seed=3, seed_corpus_size=8,
                 sample_interval=300.0,
             )
-            loop = _build_syzkaller_loop(
-                kernel, 9, config, observer=Observer()
+            loop = build_loop(
+                kernel, None, 9, config, baseline=True, observer=Observer()
             )
             seeds = ProgramGenerator(
                 kernel.table, split(9, "seed-corpus")

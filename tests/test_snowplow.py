@@ -23,7 +23,7 @@ from repro.snowplow import (
     train_pmm,
 )
 from repro.snowplow.campaign import (
-    _build_snowplow_loop,
+    build_loop,
     default_directed_targets,
     known_crash_signatures,
 )
@@ -72,7 +72,7 @@ class TestTrainPmm:
 class TestSnowplowLoop:
     def test_runs_and_uses_inference(self, kernel, trained, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "t", 0)
-        loop = _build_snowplow_loop(kernel, trained, run_seed, tiny_config)
+        loop = build_loop(kernel, trained, run_seed, tiny_config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(10)
@@ -86,7 +86,7 @@ class TestSnowplowLoop:
         from repro.snowplow.fuzzer import _Burst
 
         run_seed = derive_seed(tiny_config.seed, "t", 1)
-        loop = _build_snowplow_loop(kernel, trained, run_seed, tiny_config)
+        loop = build_loop(kernel, trained, run_seed, tiny_config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(5)
@@ -104,7 +104,7 @@ class TestSnowplowLoop:
         from repro.snowplow.fuzzer import _Burst
 
         run_seed = derive_seed(tiny_config.seed, "t", 2)
-        loop = _build_snowplow_loop(kernel, trained, run_seed, tiny_config)
+        loop = build_loop(kernel, trained, run_seed, tiny_config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(5)
@@ -122,7 +122,7 @@ class TestSnowplowLoop:
 
     def test_query_targets_fresh_only(self, kernel, trained, tiny_config):
         run_seed = derive_seed(tiny_config.seed, "t", 3)
-        loop = _build_snowplow_loop(kernel, trained, run_seed, tiny_config)
+        loop = build_loop(kernel, trained, run_seed, tiny_config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(8)
@@ -146,7 +146,7 @@ class TestSnowplowLoop:
                 sample_interval=300.0, cost=cost,
             )
             run_seed = derive_seed(17, label)
-            loop = _build_snowplow_loop(kernel, trained, run_seed, config)
+            loop = build_loop(kernel, trained, run_seed, config)
             seeds = ProgramGenerator(
                 kernel.table, split(run_seed, "s")
             ).seed_corpus(8)

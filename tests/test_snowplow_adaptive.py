@@ -6,7 +6,7 @@ import pytest
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
 from repro.rng import derive_seed, make_rng, split
 from repro.snowplow import CampaignConfig, SnowplowConfig, train_pmm
-from repro.snowplow.campaign import _build_snowplow_loop
+from repro.snowplow.campaign import build_loop
 from repro.snowplow.fuzzer import PMMLocalizer
 from repro.kernel import Executor
 from repro.syzlang import ProgramGenerator
@@ -35,7 +35,7 @@ class TestAdaptiveBurstShare:
             snowplow=SnowplowConfig(**snowplow_kwargs),
         )
         run_seed = derive_seed(config.seed, "adaptive")
-        loop = _build_snowplow_loop(kernel, trained, run_seed, config)
+        loop = build_loop(kernel, trained, run_seed, config)
         seeds = ProgramGenerator(
             kernel.table, split(run_seed, "s")
         ).seed_corpus(8)

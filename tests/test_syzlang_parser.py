@@ -1,10 +1,14 @@
 """Parser/serializer tests, including hypothesis round-trip properties."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ParseError
+from repro.errors import ParseError, SpecError
 from repro.rng import make_rng
+from repro.specgen import parse_table, serialize_table
 from repro.syzlang import (
     ProgramGenerator,
     build_standard_table,
@@ -159,3 +163,78 @@ class TestRoundTrip:
             [p.elements for p in reparsed.mutation_sites()]
             == [p.elements for p in program.mutation_sites()]
         )
+
+
+@contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the body once ``seconds`` have passed, so a
+    parser that loops forever fails the test instead of hanging it."""
+
+    def _expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTruncatedInput:
+    """Cut or malformed syz text raises the parser's own error, fast."""
+
+    @pytest.mark.parametrize("text", [
+        "foo",
+        "close(r0",
+        "r0 = io_uring_setup(0x1000",
+        "pipe2(O_NOT_A_FLAG)",
+        "pipe2(²)",
+        "r0 = open(&(0x7f0000000000)='\\xzz', 0x0, 0x0)",
+    ])
+    def test_program_raises_parse_error(self, text):
+        table = build_standard_table("6.8")
+        with _time_limit(5.0), pytest.raises(ParseError):
+            parse_program(text, table)
+
+    @pytest.mark.parametrize("line", [
+        "f(a : int[0x8",
+        "f(a : ptr[sideways, int[8]]) @x",
+    ])
+    def test_table_raises_parse_error(self, line):
+        with _time_limit(5.0), pytest.raises(ParseError):
+            parse_table(line)
+
+    @pytest.mark.parametrize("version", ["6.8", "6.9", "6.10"])
+    def test_every_program_prefix(self, version):
+        table = build_standard_table(version)
+        generator = ProgramGenerator(table, make_rng(7))
+        with _time_limit(10.0):
+            for _ in range(4):
+                text = serialize_program(generator.random_program())
+                for cut in range(len(text)):
+                    try:
+                        parse_program(text[:cut], table)
+                    except ParseError:
+                        pass
+
+    def test_every_table_line_prefix(self):
+        seen: set[str] = set()
+        with _time_limit(10.0):
+            for version in ("6.8", "6.9", "6.10"):
+                table = build_standard_table(version)
+                lines = serialize_table(table).splitlines()
+                resources = [
+                    line for line in lines if line.startswith("resource ")
+                ]
+                for line in lines:
+                    if line in seen:
+                        continue
+                    seen.add(line)
+                    head = [kind for kind in resources if kind != line]
+                    for cut in range(len(line)):
+                        try:
+                            parse_table("\n".join(head + [line[:cut]]))
+                        except (ParseError, SpecError):
+                            pass
