@@ -105,11 +105,11 @@ def _oracle_gap(kernel):
     return oracle_metrics, pmm_metrics, random_metrics, len(holdout)
 
 
-def _directed_executions(kernel, reach, oracle):
+def _directed_executions(kernel, oracle):
     """Executions-to-target for plain vs oracle-steered SyzDirect.
 
     Both modes share each run's seed corpus and RNG streams, so the only
-    difference is the localizer (plus the shared distance maps)."""
+    difference is the localizer."""
     config = CampaignConfig(horizon=4 * 3600.0, seed=5)
     targets = default_directed_targets(kernel, count=6)
     runs = 3
@@ -139,7 +139,6 @@ def _directed_executions(kernel, reach, oracle):
                     clock=VirtualClock(horizon=config.horizon),
                     cost=config.cost,
                     rng=split(run_seed, "loop"),
-                    analysis=reach if mode == "oracle" else None,
                 )
                 fuzzer.seed([program.clone() for program in seeds])
                 result = fuzzer.run()
@@ -151,13 +150,10 @@ def _directed_executions(kernel, reach, oracle):
 def test_bench_pr5_analyze_gate(benchmark):
     rows = benchmark.pedantic(_analysis_pass, rounds=1, iterations=1)
     kernel_68 = rows["6.8"]["kernel"]
-    reach_68 = ReachabilityAnalysis(kernel_68)
     oracle_68 = DependencyOracle(kernel_68)
 
     oracle_m, pmm_m, random_m, examples = _oracle_gap(kernel_68)
-    targets, totals, reached = _directed_executions(
-        kernel_68, reach_68, oracle_68
-    )
+    targets, totals, reached = _directed_executions(kernel_68, oracle_68)
 
     metrics = {}
     for version, row in rows.items():

@@ -13,7 +13,8 @@ measurably shrinks a program's distance even though the target's own
 handler was never entered — exactly the cross-call gradient the
 directed scheduler climbs.
 
-Concretely the field is a multi-source Dijkstra over the reversed CFG:
+Concretely the field is :meth:`~repro.kernel.build.Kernel
+.target_distances`, a multi-source Dijkstra over the reversed CFG:
 
 - every CFG edge ``u -> v`` contributes a reverse edge of weight 1;
 - every state-condition block ``c`` on flag ``k`` contributes reverse
@@ -36,13 +37,11 @@ instead of mutating blindly at the target.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from repro.analyze.reach import dominator_tree
 from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
-from repro.kernel.conditions import StateCondition
 
 __all__ = ["DistanceField", "STATE_EDGE_COST"]
 
@@ -68,51 +67,11 @@ class DistanceField:
             sorted({t for t in targets if t in kernel.blocks})
         )
         self.state_edge_cost = float(state_edge_cost)
-        self._producer_edges = self._build_producer_edges()
-        self.distance: dict[int, float] = self._solve()
+        self.distance: dict[int, float] = kernel.target_distances(
+            self.targets, self.state_edge_cost
+        )
         self._spines: dict[int, tuple[int, ...]] = {}
         self._dom_trees: dict[str, dict[int, int | None]] = {}
-
-    # ----- construction -----
-
-    def _build_producer_edges(self) -> dict[int, tuple[int, ...]]:
-        """Reverse producer edges: state-condition block -> effect
-        blocks writing its flag."""
-        writers: dict[str, list[int]] = {}
-        for block_id, block in self.kernel.blocks.items():
-            for key, _value in block.effects:
-                writers.setdefault(key, []).append(block_id)
-        edges: dict[int, tuple[int, ...]] = {}
-        for block_id, block in self.kernel.blocks.items():
-            condition = block.condition
-            if isinstance(condition, StateCondition):
-                edges[block_id] = tuple(
-                    sorted(writers.get(condition.key, ()))
-                )
-        return edges
-
-    def _solve(self) -> dict[int, float]:
-        dist: dict[int, float] = {target: 0.0 for target in self.targets}
-        heap: list[tuple[float, int]] = [
-            (0.0, target) for target in self.targets
-        ]
-        heapq.heapify(heap)
-        preds = self.kernel.preds
-        while heap:
-            d, block_id = heapq.heappop(heap)
-            if d > dist.get(block_id, math.inf):
-                continue
-            for pred in preds.get(block_id, ()):
-                candidate = d + 1.0
-                if candidate < dist.get(pred, math.inf):
-                    dist[pred] = candidate
-                    heapq.heappush(heap, (candidate, pred))
-            for writer in self._producer_edges.get(block_id, ()):
-                candidate = d + self.state_edge_cost
-                if candidate < dist.get(writer, math.inf):
-                    dist[writer] = candidate
-                    heapq.heappush(heap, (candidate, writer))
-        return dist
 
     # ----- queries -----
 

@@ -388,7 +388,7 @@ def _touched_bugs(
         if crash_block in changed:
             touched.add(bug.bug_id)
             continue
-        upstream = new_kernel.distance_to(crash_block)
+        upstream = new_kernel.target_distances([crash_block])
         if any(block_id in upstream for block_id in changed):
             touched.add(bug.bug_id)
     return tuple(sorted(touched))

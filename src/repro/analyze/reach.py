@@ -22,9 +22,9 @@ blocks routinely (two branches on the same argument path with
 contradictory operands), and they waste fuzzing budget: the frontier
 scheduler keeps proposing them as targets that no mutation can reach.
 :class:`ReachabilityAnalysis` exposes the dead set so loops can skip
-them, shares the reverse-BFS distance maps directed fuzzing uses, and
-hands :mod:`repro.analyze.witness` a concrete feasible path (with
-per-slot abstract values) from which satisfying programs are built.
+them, and hands :mod:`repro.analyze.witness` a concrete feasible path
+(with per-slot abstract values) from which satisfying programs are
+built.
 """
 
 from __future__ import annotations
@@ -360,7 +360,6 @@ class ReachabilityAnalysis:
         self.observer = observer
         self._feasible: dict[str, frozenset[int]] = {}
         self._truncated: set[str] = set()
-        self._distances: dict[int, dict[int, int]] = {}
         self._dominators: dict[str, dict[int, int | None]] = {}
         self._dead: frozenset[int] | None = None
         self._writable: dict[str, frozenset[int]] | None = None
@@ -474,16 +473,7 @@ class ReachabilityAnalysis:
     def solvable(self, block_id: int) -> bool:
         return not self.is_dead(block_id)
 
-    # ----- shared distance / dominators -----
-
-    def distance_to(self, target: int) -> dict[int, int]:
-        """Memoized reverse-BFS hop counts (shared with directed
-        fuzzing, which otherwise recomputes the map per fuzzer)."""
-        cached = self._distances.get(target)
-        if cached is None:
-            cached = self.kernel.distance_to(target)
-            self._distances[target] = cached
-        return cached
+    # ----- shared dominators -----
 
     def dominators(self, syscall: str) -> dict[int, int | None]:
         cached = self._dominators.get(syscall)

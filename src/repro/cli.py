@@ -63,12 +63,11 @@ from repro.observe import (
 )
 from repro.observe.slo import DEFAULT_PACKS
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
-from repro.pmm.checkpoint import load_pmm, save_pmm
+from repro.pmm.checkpoint import save_pmm
 from repro.rng import derive_seed
 from repro.cluster import ClusterConfig
 from repro.snowplow import (
     CampaignConfig,
-    SnowplowConfig,
     build_cluster,
     build_fuzz_loop,
     chaos_json,
@@ -87,11 +86,84 @@ from repro.syzlang import parse_program, serialize_program
 __all__ = ["main"]
 
 
+# ----- shared flag groups: one declaration per flag meaning -----
+
+
+def _add_build_args(parser: argparse.ArgumentParser) -> None:
+    """How a release is built: ``--kernel-seed`` and ``--size``."""
+    parser.add_argument("--kernel-seed", type=int, default=1)
+    parser.add_argument("--size", default="default", choices=KNOWN_SIZES)
+
+
 def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", default="6.8",
                         help="kernel version (6.8/6.9/6.10)")
-    parser.add_argument("--kernel-seed", type=int, default=1)
-    parser.add_argument("--size", default="default", choices=KNOWN_SIZES)
+    _add_build_args(parser)
+
+
+def _add_releases(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--releases", default=None,
+                        help="comma-separated kernel versions (overrides "
+                             "--kernel; with several, findings get a "
+                             "version/ location prefix)")
+
+
+def _add_oracle(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--oracle", action="store_true",
+                        help="use the white-box oracle localizer (no model)")
+
+
+def _add_observe_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--observe-dir", default=None,
+                        help="export this command's telemetry (metrics, "
+                             "time series, traces) under this directory")
+
+
+def _add_strict(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strict", action="store_true",
+                        help="exit 1 when the command's gate fails: an "
+                             "error-severity finding, a violated floor, "
+                             "or any SLO alert")
+
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="print machine-readable JSON instead of text "
+                             "(exit codes are unchanged)")
+
+
+def _add_heartbeat_deadline(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--heartbeat-deadline", type=float, default=None,
+                        help="virtual seconds of worker silence before a "
+                             "fleet supervisor restarts it (setting it "
+                             "attaches one; cluster chaos defaults to 900)")
+
+
+def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
+    """The shape of a service's fleet, read only when creating one."""
+    parser.add_argument("--fleet-size", type=int, default=4,
+                        help="shared fleet worker slots (only when this "
+                             "command creates the service)")
+    parser.add_argument("--time-slice", type=float, default=1800.0,
+                        help="virtual seconds per scheduling slice (only "
+                             "when this command creates the service)")
+
+
+def _add_training_args(
+    parser: argparse.ArgumentParser,
+    corpus_size: int, mutations: int, epochs: int,
+) -> None:
+    """The PMM training group of ``train`` and ``analyze oracle``."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--corpus-size", type=int, default=corpus_size)
+    parser.add_argument("--mutations", type=int, default=mutations)
+    parser.add_argument("--epochs", type=int, default=epochs)
+    parser.add_argument("--dim", type=int, default=32)
+
+
+def _add_program_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--prog", required=True, help="program file")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_campaign_args(
@@ -114,6 +186,68 @@ def _add_campaign_args(
     parser.add_argument("--batch-size", type=int, default=None,
                         help="serving-tier max batch size "
                              "(1 disables batching)")
+
+
+# ----- shared handler mechanisms -----
+
+
+def _write(path, text: str) -> None:
+    """Write one output file, creating its parent directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def _releases(args) -> list[str]:
+    """``--releases`` (or ``--kernel``) as a list of versions."""
+    return [
+        piece for piece in (args.releases or args.kernel).split(",") if piece
+    ]
+
+
+def _train(args, kernel, epochs: int):
+    """``train_pmm`` set up from the training flag group."""
+    return train_pmm(
+        kernel,
+        seed=args.seed,
+        corpus_size=args.corpus_size,
+        dataset_config=DatasetConfig(
+            mutations_per_test=args.mutations, seed=derive_seed(args.seed, "d")
+        ),
+        pmm_config=PMMConfig(dim=args.dim, seed=derive_seed(args.seed, "m")),
+        train_config=TrainConfig(
+            epochs=epochs, seed=derive_seed(args.seed, "t")
+        ),
+    )
+
+
+def _load_program(args):
+    """The kernel and the ``--prog`` program parsed against its table."""
+    kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
+    with open(args.prog) as handle:
+        program = parse_program(handle.read(), kernel.table)
+    return kernel, program
+
+
+def _gate(args, failures, summary: str) -> int:
+    """The ``--strict`` exit contract: 1 when a gate check failed."""
+    if args.strict and failures:
+        print(f"--strict: {summary}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _floor_gate(args, checks, what: str) -> int:
+    """Report every ``(version, name, value, floor)`` check whose value
+    is below its floor, then apply :func:`_gate`."""
+    failures = [
+        f"{version}: {name} {value:.3f} below floor {floor:.3f}"
+        for version, name, value, floor in checks
+        if value < floor
+    ]
+    for failure in failures:
+        print(f"  [floor] {failure}", file=sys.stderr)
+    return _gate(args, failures, f"{len(failures)} {what} floor(s) violated")
 
 
 def _bad_fleet_args(args) -> bool:
@@ -141,18 +275,7 @@ def _cmd_build_kernel(args) -> int:
 
 def _cmd_train(args) -> int:
     kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
-    trained = train_pmm(
-        kernel,
-        seed=args.seed,
-        corpus_size=args.corpus_size,
-        dataset_config=DatasetConfig(
-            mutations_per_test=args.mutations, seed=derive_seed(args.seed, "d")
-        ),
-        pmm_config=PMMConfig(dim=args.dim, seed=derive_seed(args.seed, "m")),
-        train_config=TrainConfig(
-            epochs=args.epochs, seed=derive_seed(args.seed, "t")
-        ),
-    )
+    trained = _train(args, kernel, args.epochs)
     if trained.validation is not None:
         print(f"validation F1: {trained.validation.f1:.3f} "
               f"(threshold {trained.model.decision_threshold:.2f})")
@@ -161,24 +284,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_trained(args, kernel) -> TrainedPMM | None:
-    """A TrainedPMM from --model, or None for --baseline/--oracle."""
-    if args.baseline or getattr(args, "oracle", False):
-        return None
-    if not args.model:
-        print("--model is required unless --baseline or --oracle is given",
-              file=sys.stderr)
-        return None
-    model, vocab, encoder = load_pmm(args.model, kernel.table)
-    return TrainedPMM(
-        model=model, encoder=encoder, vocab=vocab,
-        dataset=None, validation=None,
-    )
+def _missing_model(args) -> bool:
+    """Report a campaign given none of --model, --baseline, --oracle."""
+    if args.model or args.baseline or args.oracle:
+        return False
+    print("--model is required unless --baseline or --oracle is given",
+          file=sys.stderr)
+    return True
 
 
-def _fuzz_config(args, batch_size: int | None = None) -> CampaignConfig:
+def _trained(args, kernel) -> TrainedPMM | None:
+    """The ``--model`` PMM, or None for --baseline/--oracle."""
+    if args.baseline or args.oracle:
+        return None
+    return TrainedPMM.load(args.model, kernel.table)
+
+
+def _fuzz_config(args) -> CampaignConfig:
     return fuzz_campaign_config(
-        args.hours, args.seed, args.seed_corpus, batch_size
+        args.hours, args.seed, args.seed_corpus, args.batch_size
     )
 
 
@@ -221,27 +345,25 @@ def _cmd_fuzz(args) -> int:
     )
     if _bad_fleet_args(args):
         return 2
-    config = _fuzz_config(args, batch_size=args.batch_size)
+    config = _fuzz_config(args)
     run_seed = fuzz_run_seed(args.seed, kernel.version)
-    oracle = args.oracle
-    trained = _load_trained(args, kernel)
-    if trained is None and not (args.baseline or oracle):
+    if _missing_model(args):
         return 2
+    trained = _trained(args, kernel)
     observer = (
         Observer(slo=SLOEngine(DEFAULT_PACKS["default"]()))
         if args.observe_dir else None
     )
+    label = "syzkaller" if args.baseline else "snowplow"
     if args.workers > 1:
-        cluster = build_cluster(
+        result = build_cluster(
             kernel, trained, run_seed, config,
             cluster_config=ClusterConfig(
                 workers=args.workers, shards=args.shards,
             ),
-            baseline=args.baseline, oracle=oracle, observer=observer,
-        )
-        result = cluster.run()
+            baseline=args.baseline, oracle=args.oracle, observer=observer,
+        ).run()
         stats = result.merged
-        label = "syzkaller" if args.baseline else "snowplow"
         print(f"[{label} x{args.workers}] {args.hours:.1f} virtual hours on "
               f"{kernel.version}: {result.final_edges} fleet edges, "
               f"{result.final_blocks} blocks, {stats.executions} executions, "
@@ -257,11 +379,7 @@ def _cmd_fuzz(args) -> int:
             print(f"  inference: {service.completed} completed, "
                   f"mean batch {service.mean_batch_size:.2f}, "
                   f"p95 queue delay {service.p95_queue_delay:.0f}s")
-        for crash in stats.crashes:
-            tag = "NEW" if crash.is_new else "known"
-            print(f"  crash [{tag}] {crash.signature}")
-        _export_observer(observer, args.observe_dir)
-        return 0
+        return _finish_fuzz(args, stats, observer)
     analysis = None
     if args.skip_dead_targets and not args.baseline:
         from repro.analyze import ReachabilityAnalysis
@@ -284,13 +402,11 @@ def _cmd_fuzz(args) -> int:
               f"({counts['solvable']} solvable, "
               f"{counts['unsteerable']} unsteerable, "
               f"{counts['unreachable']} statically unreachable)")
-    loop = build_fuzz_loop(
+    stats = build_fuzz_loop(
         kernel, trained, run_seed, config, baseline=args.baseline,
-        oracle=oracle, observer=observer, analysis=analysis,
+        oracle=args.oracle, observer=observer, analysis=analysis,
         director=director,
-    )
-    label = "syzkaller" if args.baseline else "snowplow"
-    stats = loop.run()
+    ).run()
     print(f"[{label}] {args.hours:.1f} virtual hours on {kernel.version}: "
           f"{stats.final_edges} edges, {stats.final_blocks} blocks, "
           f"{stats.executions} executions, corpus {stats.corpus_size}")
@@ -310,6 +426,11 @@ def _cmd_fuzz(args) -> int:
     for observation in stats.observations[:: max(len(stats.observations) // 8, 1)]:
         print(f"  t={observation.time / 3600.0:5.2f}h "
               f"edges={observation.edges}")
+    return _finish_fuzz(args, stats, observer)
+
+
+def _finish_fuzz(args, stats, observer) -> int:
+    """The tail of both ``fuzz`` paths: crash lines, then telemetry."""
     for crash in stats.crashes:
         tag = "NEW" if crash.is_new else "known"
         print(f"  crash [{tag}] {crash.signature}")
@@ -326,25 +447,22 @@ def _cmd_cluster(args) -> int:
             int(piece) for piece in args.worker_counts.split(",") if piece
         )
     except ValueError:
+        counts = ()
+    if not counts or min(counts) < 1:
         print(f"bad --worker-counts {args.worker_counts!r}", file=sys.stderr)
         return 2
-    if not counts or any(count < 1 for count in counts):
-        print(f"bad --worker-counts {args.worker_counts!r}", file=sys.stderr)
-        return 2
-    config = _fuzz_config(args, batch_size=args.batch_size)
-    oracle = args.oracle
-    trained = _load_trained(args, kernel)
-    if trained is None and not (args.baseline or oracle):
+    config = _fuzz_config(args)
+    if _missing_model(args):
         return 2
     result = run_scaling_campaign(
-        kernel, trained, config,
+        kernel, _trained(args, kernel), config,
         worker_counts=counts,
         cluster_config=ClusterConfig(
             workers=max(counts), sync_interval=args.sync_interval,
             shards=args.shards,
             heartbeat_deadline=args.heartbeat_deadline,
         ),
-        baseline=args.baseline, oracle=oracle,
+        baseline=args.baseline, oracle=args.oracle,
         observe=bool(args.observe_dir),
     )
     print(scaling_json(result) if args.json else format_scaling(result))
@@ -364,22 +482,20 @@ def _cmd_cluster_chaos(args, kernel) -> int:
     exiting non-zero unless every robustness invariant holds."""
     if _bad_fleet_args(args):
         return 2
-    config = _fuzz_config(args, batch_size=args.batch_size)
-    oracle = args.oracle
-    trained = _load_trained(args, kernel)
-    if trained is None and not (args.baseline or oracle):
+    config = _fuzz_config(args)
+    if _missing_model(args):
         return 2
     deadline = (
         args.heartbeat_deadline
         if args.heartbeat_deadline is not None else 900.0
     )
     result = run_chaos_campaign(
-        kernel, trained, config,
+        kernel, _trained(args, kernel), config,
         cluster_config=ClusterConfig(
             workers=args.workers, sync_interval=args.sync_interval,
             shards=args.shards, heartbeat_deadline=deadline,
         ),
-        baseline=args.baseline, oracle=oracle,
+        baseline=args.baseline, oracle=args.oracle,
         observe=bool(args.observe_dir),
     )
     print(chaos_json(result) if args.json else format_chaos(result))
@@ -421,59 +537,48 @@ def _respond(response, as_json: bool) -> int:
     return 0 if response.ok else 1
 
 
+def _print_health(server, as_json: bool) -> dict:
+    """Print the service health report (or its raw JSON response) and
+    return the report body."""
+    from repro.service import Request, format_service_health
+
+    health = server.handle(Request("GET", "/health"))
+    print(health.json() if as_json else format_service_health(health.body))
+    return health.body
+
+
 def _cmd_serve(args) -> int:
     """Admit + schedule: advance the service clock, then persist."""
-    from repro.service import (
-        Request,
-        format_service_health,
-        save_service,
-    )
+    from repro.service import Request, format_service_health, save_service
 
     server = _load_server(args, create=True)
     server.handle(Request("POST", "/advance", {"until": args.until}))
     save_service(args.state_dir, server)
-    health = server.handle(Request("GET", "/health"))
-    if args.json:
-        print(health.json())
-    else:
-        print(format_service_health(health.body))
+    health = _print_health(server, args.json)
     if args.report_out:
-        Path(args.report_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report_out).write_text(
-            format_service_health(health.body)
-        )
+        _write(args.report_out, format_service_health(health))
         print(f"service health report -> {args.report_out}")
     return 0
 
 
 def _cmd_submit(args) -> int:
-    from repro.service import Request, save_service
+    from repro.service import SPEC_FIELDS, Request, save_service
 
     server = _load_server(args, create=True)
-    mode = (
-        "baseline" if args.baseline
-        else ("model" if args.model else "oracle")
-    )
+    # Every CampaignSpec field but these two is a same-named flag.
     params = {
-        "tenant": args.tenant,
-        "kernel": args.kernel,
-        "kernel_seed": args.kernel_seed,
-        "size": args.size,
-        "mode": mode,
-        "model": args.model,
-        "hours": args.hours,
-        "seed": args.seed,
-        "seed_corpus": args.seed_corpus,
-        "workers": args.workers,
-        "shards": args.shards,
-        "batch_size": args.batch_size,
-        "heartbeat_deadline": args.heartbeat_deadline,
-        "faults": json.loads(Path(args.faults).read_text())
-        if args.faults else None,
-        "max_concurrent": args.max_concurrent,
-        "budget_hours": args.budget_hours,
-        "priority": args.priority,
+        name: getattr(args, name)
+        for name in SPEC_FIELDS if name not in ("mode", "faults")
     }
+    params.update(
+        mode="baseline" if args.baseline
+        else ("model" if args.model else "oracle"),
+        faults=json.loads(Path(args.faults).read_text())
+        if args.faults else None,
+        max_concurrent=args.max_concurrent,
+        budget_hours=args.budget_hours,
+        priority=args.priority,
+    )
     response = server.handle(Request("POST", "/campaigns", params))
     if response.ok:
         save_service(args.state_dir, server)
@@ -487,7 +592,7 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    from repro.service import Request, format_service_health
+    from repro.service import Request
 
     server = _load_server(args)
     if server is None:
@@ -515,11 +620,7 @@ def _cmd_status(args) -> int:
                   f"{body['quota']['budget_hours']:.1f}h left; "
                   f"jobs: {', '.join(body['jobs']) or '(none)'}")
         return _respond(response, args.json)
-    response = server.handle(Request("GET", "/health"))
-    if args.json:
-        print(response.json())
-    else:
-        print(format_service_health(response.body))
+    _print_health(server, args.json)
     return 0
 
 
@@ -547,7 +648,7 @@ def _cmd_cancel(args) -> int:
 def _cmd_observe_render(args) -> int:
     tracer = load_spans_jsonl(Path(args.spans).read_text())
     if args.chrome:
-        Path(args.chrome).write_text(chrome_trace(tracer))
+        _write(args.chrome, chrome_trace(tracer))
         print(f"chrome trace written to {args.chrome} "
               f"(load it in https://ui.perfetto.dev or chrome://tracing)")
     if args.lineage:
@@ -559,7 +660,7 @@ def _cmd_observe_render(args) -> int:
             return 2
         log = load_lineage(lineage_path.read_text())
         dot_path = lineage_path.with_suffix(".dot")
-        dot_path.write_text(lineage_dot(log))
+        _write(dot_path, lineage_dot(log))
         print(f"lineage DAG written to {dot_path} "
               f"({len(log.records)} entries, render with `dot -Tsvg`)")
     print(flame_summary(tracer), end="")
@@ -575,7 +676,7 @@ def _cmd_observe_explain(args) -> int:
         return 2
     log = load_lineage(path.read_text())
     if args.table:
-        Path(args.table).write_text(json.dumps(
+        _write(args.table, json.dumps(
             attribution_table(log), sort_keys=True, separators=(",", ":"),
         ) + "\n")
     if args.target == "bugs":
@@ -678,7 +779,7 @@ def _cmd_observe_report(args) -> int:
     rules = alerts = None
     if store is not None:
         rules, alerts = _evaluate_slo(args.slo, store)
-        (directory / Observer.ALERTS_FILE).write_text(alerts_json(alerts))
+        _write(directory / Observer.ALERTS_FILE, alerts_json(alerts))
     extra = {}
     for other in args.compare:
         extra.update(
@@ -689,7 +790,7 @@ def _cmd_observe_report(args) -> int:
         extra_summaries=extra, title=args.title,
     )
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     print(text, end="")
     if alerts is not None and any(
         alert.severity == "critical" for alert in alerts
@@ -721,7 +822,7 @@ def _analyze_guard(func):
 
 
 def _analyze_observer(args) -> Observer | None:
-    return Observer() if getattr(args, "observe_dir", None) else None
+    return Observer() if args.observe_dir else None
 
 
 def _finish_analyze(args, findings, observer, context) -> int:
@@ -742,15 +843,13 @@ def _finish_analyze(args, findings, observer, context) -> int:
     if remaining > 0:
         print(f"  ... {remaining} more (see --out)")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(findings_json(findings, **context))
+        _write(args.out, findings_json(findings, **context))
         print(f"findings written to {args.out}")
-    _export_observer(observer, getattr(args, "observe_dir", None))
-    if args.strict and strict_failures(findings):
-        print(f"--strict: {counts['error']} error-severity finding(s)",
-              file=sys.stderr)
-        return 1
-    return 0
+    _export_observer(observer, args.observe_dir)
+    return _gate(
+        args, strict_failures(findings),
+        f"{counts['error']} error-severity finding(s)",
+    )
 
 
 def _cmd_analyze_kernel(args) -> int:
@@ -760,9 +859,7 @@ def _cmd_analyze_kernel(args) -> int:
         run_kernel_checks,
     )
 
-    releases = [
-        piece for piece in (args.releases or args.kernel).split(",") if piece
-    ]
+    releases = _releases(args)
     observer = _analyze_observer(args)
     findings = []
     for version in releases:
@@ -811,20 +908,7 @@ def _cmd_analyze_oracle(args) -> int:
     from repro.snowplow import format_table1
 
     kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
-    trained = train_pmm(
-        kernel,
-        seed=args.seed,
-        corpus_size=args.corpus_size,
-        dataset_config=DatasetConfig(
-            mutations_per_test=args.mutations,
-            seed=derive_seed(args.seed, "d"),
-        ),
-        pmm_config=PMMConfig(dim=args.dim, seed=derive_seed(args.seed, "m")),
-        train_config=TrainConfig(
-            epochs=args.epochs if args.compare_pmm else 0,
-            seed=derive_seed(args.seed, "t"),
-        ),
-    )
+    trained = _train(args, kernel, args.epochs if args.compare_pmm else 0)
     dataset = trained.dataset
     holdout = dataset.evaluation[: args.eval_limit]
     if not holdout:
@@ -878,9 +962,7 @@ def _cmd_analyze_oracle(args) -> int:
                 "jaccard": oracle_metrics.jaccard,
             },
         }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"metrics written to {args.out}")
     return 0 if oracle_metrics.precision == oracle_metrics.recall == 1.0 else 1
 
@@ -920,8 +1002,7 @@ def _cmd_analyze_impact(args) -> int:
           f"{counts['unsteerable']} unsteerable, "
           f"{counts['unreachable']} unreachable")
     if args.manifest:
-        Path(args.manifest).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.manifest).write_text(manifest.to_json())
+        _write(args.manifest, manifest.to_json())
         print(f"target manifest written to {args.manifest}")
     findings = run_impact_checks(
         report, manifest, old, new, observer=observer
@@ -937,24 +1018,15 @@ def _cmd_analyze_impact(args) -> int:
 # ----- spec inference -----
 
 
-def _specgen_releases(args) -> list[str]:
-    return [
-        piece for piece in (args.releases or args.kernel).split(",") if piece
-    ]
-
-
-def _specgen_path(out_dir: Path, version: str) -> Path:
-    return out_dir / f"specs_{version.replace('.', '_')}.syz"
-
-
 def _cmd_specgen_infer(args) -> int:
     from repro.analyze import strict_failures, table_mismatch_findings
     from repro.specgen import infer_specs, parse_table, serialize_table
 
     observer = _analyze_observer(args)
+    releases = _releases(args)
     findings = []
     exit_code = 0
-    for version in _specgen_releases(args):
+    for version in releases:
         kernel = build_kernel(version, seed=args.kernel_seed, size=args.size)
         table, report = infer_specs(kernel, observer=observer)
         text = serialize_table(
@@ -972,29 +1044,25 @@ def _cmd_specgen_infer(args) -> int:
               f"{report.struct_nodes} structs), {report.producers} "
               f"producers, {len(report.state_edges)} state edges")
         if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = _specgen_path(out_dir, version)
-            path.write_text(text)
+            path = Path(args.out) / f"specs_{version.replace('.', '_')}.syz"
+            _write(path, text)
             print(f"  syzlang written to {path}")
         if args.lint:
-            namespace = f"{version}/" if len(_specgen_releases(args)) > 1 \
-                else ""
+            namespace = f"{version}/" if len(releases) > 1 else ""
             produced = table_mismatch_findings(
                 kernel, table, namespace=namespace
             )
             findings += produced
             print(f"  lint: {len(produced)} finding(s), "
                   f"{len(strict_failures(produced))} error(s)")
-    _export_observer(observer, getattr(args, "observe_dir", None))
-    for finding in strict_failures(findings):
+    _export_observer(observer, args.observe_dir)
+    failures = strict_failures(findings)
+    for finding in failures:
         print(f"  [error] {finding.check} @ {finding.location}: "
               f"{finding.message}")
-    if args.strict and strict_failures(findings):
-        print("--strict: inferred table disagrees with the kernel",
-              file=sys.stderr)
-        return 1
-    return exit_code
+    return _gate(
+        args, failures, "inferred table disagrees with the kernel"
+    ) or exit_code
 
 
 _SPECGEN_FLOORS = (
@@ -1007,20 +1075,6 @@ _SPECGEN_FLOORS = (
 )
 
 
-def _check_fidelity_floors(args, fidelities) -> list[str]:
-    failures = []
-    for fidelity in fidelities:
-        for attr, prop, name in _SPECGEN_FLOORS:
-            floor = getattr(args, attr)
-            value = getattr(fidelity, prop)
-            if value < floor:
-                failures.append(
-                    f"{fidelity.version}: {name} {value:.3f} "
-                    f"below floor {floor:.3f}"
-                )
-    return failures
-
-
 def _cmd_specgen_diff(args) -> int:
     from repro.specgen import diff_tables, fidelity_json, infer_table
     from repro.syzlang.stdlib import build_standard_table
@@ -1029,7 +1083,7 @@ def _cmd_specgen_diff(args) -> int:
     fidelities = []
     print(f"{'Kernel':<7} {'Specs':>11} {'KindAcc':>8} {'FlagRec':>8} "
           f"{'ResPrec':>8} {'ResRec':>8}")
-    for version in _specgen_releases(args):
+    for version in _releases(args):
         kernel = build_kernel(version, seed=args.kernel_seed, size=args.size)
         fidelity = diff_tables(
             infer_table(kernel, observer=observer),
@@ -1043,20 +1097,16 @@ def _cmd_specgen_diff(args) -> int:
               f"{fidelity.resource_precision:>8.3f} "
               f"{fidelity.resource_recall:>8.3f}")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(fidelity_json(
+        _write(args.out, fidelity_json(
             fidelities, size=args.size, kernel_seed=args.kernel_seed,
         ))
         print(f"fidelity report written to {args.out}")
-    _export_observer(observer, getattr(args, "observe_dir", None))
-    failures = _check_fidelity_floors(args, fidelities)
-    for failure in failures:
-        print(f"  [floor] {failure}", file=sys.stderr)
-    if args.strict and failures:
-        print(f"--strict: {len(failures)} fidelity floor(s) violated",
-              file=sys.stderr)
-        return 1
-    return 0
+    _export_observer(observer, args.observe_dir)
+    return _floor_gate(args, [
+        (fidelity.version, name, getattr(fidelity, prop), getattr(args, attr))
+        for fidelity in fidelities
+        for attr, prop, name in _SPECGEN_FLOORS
+    ], "fidelity")
 
 
 def _cmd_specgen_campaign(args) -> int:
@@ -1065,7 +1115,7 @@ def _cmd_specgen_campaign(args) -> int:
 
     observer = _analyze_observer(args)
     result = run_specgen_campaign(
-        versions=tuple(_specgen_releases(args)),
+        versions=tuple(_releases(args)),
         seed=args.seed,
         kernel_seed=args.kernel_seed,
         size=args.size,
@@ -1075,29 +1125,17 @@ def _cmd_specgen_campaign(args) -> int:
     )
     print(specgen_json(result) if args.json else format_specgen(result))
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(specgen_json(result) + "\n")
+        _write(args.out, specgen_json(result) + "\n")
         print(f"campaign report written to {args.out}")
-    _export_observer(observer, getattr(args, "observe_dir", None))
-    failures = [
-        f"{run.version}: coverage ratio {run.coverage_ratio:.3f} "
-        f"below floor {args.min_ratio:.3f}"
+    _export_observer(observer, args.observe_dir)
+    return _floor_gate(args, [
+        (run.version, "coverage ratio", run.coverage_ratio, args.min_ratio)
         for run in result.runs
-        if run.coverage_ratio < args.min_ratio
-    ]
-    for failure in failures:
-        print(f"  [floor] {failure}", file=sys.stderr)
-    if args.strict and failures:
-        print(f"--strict: {len(failures)} coverage floor(s) violated",
-              file=sys.stderr)
-        return 1
-    return 0
+    ], "coverage")
 
 
 def _cmd_exec(args) -> int:
-    kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
-    with open(args.prog) as handle:
-        program = parse_program(handle.read(), kernel.table)
+    kernel, program = _load_program(args)
     result = Executor(kernel, seed=args.seed).run(program)
     print(f"{len(result.coverage.blocks)} blocks, "
           f"{len(result.coverage.edges)} edges covered")
@@ -1112,9 +1150,7 @@ def _cmd_triage(args) -> int:
     from repro.fuzzer.crash import CrashTriage
     from repro.kernel import symbolize
 
-    kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
-    with open(args.prog) as handle:
-        program = parse_program(handle.read(), kernel.table)
+    kernel, program = _load_program(args)
     executor = Executor(kernel, seed=args.seed)
     result = executor.run(program)
     if result.crash is None:
@@ -1150,20 +1186,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train PMM and write a checkpoint")
     _add_kernel_args(p)
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corpus-size", type=int, default=120)
-    p.add_argument("--mutations", type=int, default=120)
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--dim", type=int, default=32)
+    _add_training_args(p, corpus_size=120, mutations=120, epochs=4)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("fuzz", help="run a fuzzing campaign")
     _add_kernel_args(p)
     _add_campaign_args(p)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the white-box oracle localizer (no model)")
-    p.add_argument("--observe-dir", default=None,
-                   help="export trace/metrics/flame telemetry here")
+    _add_oracle(p)
+    _add_observe_dir(p)
     p.add_argument("--skip-dead-targets", action="store_true",
                    help="run static reachability analysis first and never "
                         "pick statically dead blocks as directed targets "
@@ -1186,20 +1216,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "under the seeded fault plan (exit 1 on any "
                         "invariant violation)")
     _add_campaign_args(p, workers=4)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the white-box oracle localizer (no model)")
+    _add_oracle(p)
     p.add_argument("--worker-counts", default="1,2,4,8",
                    help="comma-separated fleet sizes to sweep (scale mode)")
-    p.add_argument("--heartbeat-deadline", type=float, default=None,
-                   help="virtual seconds of worker silence before the "
-                        "supervisor restarts it (chaos mode defaults to 900)")
+    _add_heartbeat_deadline(p)
     p.add_argument("--sync-interval", type=float, default=600.0,
                    help="virtual seconds between hub syncs")
-    p.add_argument("--observe-dir", default=None,
-                   help="export per-fleet-size telemetry under this directory")
-    p.add_argument("--json", action="store_true",
-                   help="print machine-readable JSON instead of the text "
-                        "table (exit codes are unchanged)")
+    _add_observe_dir(p)
+    _add_json(p)
     p.set_defaults(func=_cmd_cluster)
 
     # --- the campaign service ---
@@ -1208,8 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--state-dir", required=True,
                        help="directory holding the service checkpoint "
                             "(service.json, format v7)")
-        q.add_argument("--json", action="store_true",
-                       help="print the raw API response as JSON")
+        _add_json(q)
 
     p = sub.add_parser(
         "serve",
@@ -1217,11 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
              "time-slice the fleet, checkpoint, print the health report",
     )
     _add_state_dir(p)
-    p.add_argument("--fleet-size", type=int, default=4,
-                   help="shared fleet worker slots (new services only)")
-    p.add_argument("--time-slice", type=float, default=1800.0,
-                   help="virtual seconds per scheduling slice "
-                        "(new services only)")
+    _add_fleet_args(p)
     p.add_argument("--until", type=float, default=None,
                    help="stop at this service virtual time (seconds); "
                         "default runs every admitted campaign to its "
@@ -1234,15 +1253,11 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a campaign to the service as a tenant"
     )
     _add_state_dir(p)
-    p.add_argument("--fleet-size", type=int, default=4,
-                   help="fleet size if this submit creates the service")
-    p.add_argument("--time-slice", type=float, default=1800.0,
-                   help="scheduling slice if this submit creates the service")
+    _add_fleet_args(p)
     p.add_argument("--tenant", required=True, help="tenant (session) name")
     _add_kernel_args(p)
     _add_campaign_args(p)
-    p.add_argument("--heartbeat-deadline", type=float, default=None,
-                   help="attach a fleet supervisor (cluster campaigns)")
+    _add_heartbeat_deadline(p)
     p.add_argument("--faults", default=None,
                    help="JSON file with a FaultPlan.to_dict() payload to "
                         "inject into this campaign")
@@ -1318,8 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--timeseries", default=None,
                    help="timeseries.json to evaluate (default: sibling "
                         "of the metrics file)")
-    q.add_argument("--strict", action="store_true",
-                   help="exit 1 on any alert, not just critical ones")
+    _add_strict(q)
     q.set_defaults(func=_cmd_observe_check)
     q = observe_sub.add_parser(
         "report",
@@ -1346,24 +1360,19 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_sub = p.add_subparsers(dest="analyze_command", required=True)
 
     def _add_analyze_common(q: argparse.ArgumentParser) -> None:
-        q.add_argument("--strict", action="store_true",
-                       help="exit 1 if any error-severity finding fires")
+        _add_strict(q)
         q.add_argument("--out", default=None,
                        help="write canonical findings.json here")
         q.add_argument("--max-print", type=int, default=20,
                        help="max findings echoed to stdout")
-        q.add_argument("--observe-dir", default=None,
-                       help="export analysis telemetry here")
+        _add_observe_dir(q)
 
     q = analyze_sub.add_parser(
         "kernel",
         help="reachability, dependency, and lint checks over kernels",
     )
     _add_kernel_args(q)
-    q.add_argument("--releases", default=None,
-                   help="comma-separated kernel versions to analyse "
-                        "(overrides --kernel; findings get a "
-                        "version/ location prefix)")
+    _add_releases(q)
     _add_analyze_common(q)
     q.set_defaults(func=_analyze_guard(_cmd_analyze_kernel))
 
@@ -1385,11 +1394,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(the Table-1 upper bound)",
     )
     _add_kernel_args(q)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--corpus-size", type=int, default=40)
-    q.add_argument("--mutations", type=int, default=80)
-    q.add_argument("--epochs", type=int, default=2)
-    q.add_argument("--dim", type=int, default=32)
+    _add_training_args(q, corpus_size=40, mutations=80, epochs=2)
     q.add_argument("--eval-limit", type=int, default=200,
                    help="max evaluation examples to score")
     q.add_argument("--compare-pmm",
@@ -1408,8 +1413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="old kernel version (e.g. 6.8)")
     q.add_argument("to_version", metavar="to",
                    help="new kernel version (e.g. 6.9)")
-    q.add_argument("--kernel-seed", type=int, default=1)
-    q.add_argument("--size", default="default", choices=KNOWN_SIZES)
+    _add_build_args(q)
     q.add_argument("--manifest", default=None,
                    help="write the TargetManifest JSON here (the file "
                         "`fuzz --directed patch:<from>..<to>` rebuilds)")
@@ -1425,13 +1429,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_specgen_common(q: argparse.ArgumentParser) -> None:
         _add_kernel_args(q)
-        q.add_argument("--releases", default=None,
-                       help="comma-separated kernel versions "
-                            "(overrides --kernel)")
-        q.add_argument("--strict", action="store_true",
-                       help="exit 1 when a gate condition fails")
-        q.add_argument("--observe-dir", default=None,
-                       help="export inference-quality telemetry here")
+        _add_releases(q)
+        _add_strict(q)
+        _add_observe_dir(q)
 
     q = specgen_sub.add_parser(
         "infer",
@@ -1475,22 +1475,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed-corpus", type=int, default=15)
     q.add_argument("--min-ratio", type=float, default=0.7,
                    help="--strict floor on inferred/truth coverage ratio")
-    q.add_argument("--json", action="store_true",
-                   help="print machine-readable JSON instead of the table")
+    _add_json(q)
     q.add_argument("--out", default=None,
                    help="write the campaign report JSON here")
     q.set_defaults(func=_cmd_specgen_campaign)
 
     p = sub.add_parser("exec", help="execute a syz-format program")
     _add_kernel_args(p)
-    p.add_argument("--prog", required=True, help="program file")
-    p.add_argument("--seed", type=int, default=0)
+    _add_program_args(p)
     p.set_defaults(func=_cmd_exec)
 
     p = sub.add_parser("triage", help="triage + minimise a crashing program")
     _add_kernel_args(p)
-    p.add_argument("--prog", required=True, help="program file")
-    p.add_argument("--seed", type=int, default=0)
+    _add_program_args(p)
     p.set_defaults(func=_cmd_triage)
 
     return parser

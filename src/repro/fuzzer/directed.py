@@ -4,8 +4,9 @@ A directed fuzzer tries to *reach* a specific kernel block instead of
 maximising total coverage.  The reimplementation captures SyzDirect's
 mechanism class:
 
-- static distance: a reverse-BFS hop count toward the target over the
-  kernel CFG, used to rank corpus tests by their closest approach;
+- static distance: the CFG hop count toward the target
+  (:meth:`Kernel.target_distances` with no producer edges), used to
+  rank corpus tests by their closest approach;
 - resource-aware call planting: if the base test never invokes the
   target's system call, insert it (with any producer calls its resources
   need);
@@ -175,10 +176,6 @@ class DirectedFuzzer:
         # for a learned localizer; reproduces Table 5's slight slowdowns
         # on trivial targets.
         mutation_overhead: float = 0.0,
-        # Optional repro.analyze.ReachabilityAnalysis: shares its
-        # memoized reverse-BFS distance maps instead of recomputing one
-        # per fuzzer instance.
-        analysis=None,
     ):
         if target_block not in kernel.blocks:
             raise CampaignError(f"unknown target block {target_block}")
@@ -194,10 +191,7 @@ class DirectedFuzzer:
         self.insert_target_prob = insert_target_prob
         self.mutation_overhead = mutation_overhead
         self.instantiator = ArgumentInstantiator(generator, rng)
-        if analysis is not None:
-            self.distance = analysis.distance_to(target_block)
-        else:
-            self.distance = kernel.distance_to(target_block)
+        self.distance = kernel.target_distances([target_block])
         self.corpus = Corpus()
         self._closeness: list[int] = []
 

@@ -23,7 +23,10 @@ Generation principles (see DESIGN.md):
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,29 +192,50 @@ class Kernel:
                     result.add(succ)
         return result
 
-    def distance_from(self, source_blocks: set[int]) -> dict[int, int]:
-        """Forward BFS hop counts from a set of blocks."""
-        dist = {block_id: 0 for block_id in source_blocks}
-        frontier = deque(source_blocks)
-        while frontier:
-            current = frontier.popleft()
-            for succ in self.succs.get(current, ()):
-                if succ not in dist:
-                    dist[succ] = dist[current] + 1
-                    frontier.append(succ)
+    def target_distances(
+        self, targets: Iterable[int], state_edge_cost: float = math.inf
+    ) -> dict[int, float]:
+        """Distance of every block that can reach ``targets``.
+
+        A multi-source Dijkstra over the reversed CFG: each CFG edge
+        costs 1, and a finite ``state_edge_cost`` also links every
+        state-condition block to each effect block writing its flag (a
+        producer hop).  At the default ``inf`` the map is plain CFG hop
+        counts.  Blocks that cannot reach a target are absent.
+        """
+        dist: dict[int, float] = {target: 0.0 for target in targets}
+        heap = [(0.0, target) for target in dist]
+        heapq.heapify(heap)
+        producers = (
+            self._producer_edges() if state_edge_cost < math.inf else {}
+        )
+        while heap:
+            d, block_id = heapq.heappop(heap)
+            if d > dist[block_id]:
+                continue
+            for pred in self.preds.get(block_id, ()):
+                candidate = d + 1.0
+                if candidate < dist.get(pred, math.inf):
+                    dist[pred] = candidate
+                    heapq.heappush(heap, (candidate, pred))
+            for writer in producers.get(block_id, ()):
+                candidate = d + state_edge_cost
+                if candidate < dist.get(writer, math.inf):
+                    dist[writer] = candidate
+                    heapq.heappush(heap, (candidate, writer))
         return dist
 
-    def distance_to(self, target: int) -> dict[int, int]:
-        """Reverse BFS hop counts toward ``target`` (directed fuzzing)."""
-        dist = {target: 0}
-        frontier = deque([target])
-        while frontier:
-            current = frontier.popleft()
-            for pred in self.preds.get(current, ()):
-                if pred not in dist:
-                    dist[pred] = dist[current] + 1
-                    frontier.append(pred)
-        return dist
+    def _producer_edges(self) -> dict[int, tuple[int, ...]]:
+        """State-condition block -> effect blocks writing its flag."""
+        writers: dict[str, list[int]] = {}
+        for block_id, block in self.blocks.items():
+            for key, _value in block.effects:
+                writers.setdefault(key, []).append(block_id)
+        return {
+            block_id: tuple(sorted(writers.get(block.condition.key, ())))
+            for block_id, block in self.blocks.items()
+            if isinstance(block.condition, StateCondition)
+        }
 
     def guarding_condition(self, block_id: int) -> ArgCondition | StateCondition | None:
         """The condition of the closest conditional predecessor, if any."""

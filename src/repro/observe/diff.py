@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.observe.timeseries import HISTOGRAM_MERGE, flatten_snapshot
+
 __all__ = [
     "Delta",
     "Regression",
@@ -66,30 +68,31 @@ class Regression:
         )
 
 
-def _flatten(snapshot: dict) -> dict[str, tuple[str, float]]:
-    flat: dict[str, tuple[str, float]] = {}
-    for key, value in snapshot.get("counters", {}).items():
-        flat[key] = ("counter", value)
-    for key, value in snapshot.get("gauges", {}).items():
-        flat[key] = ("gauge", value)
-    for key, body in snapshot.get("histograms", {}).items():
-        # Compare histograms on their tail latency — the quantity the
-        # paper's serving experiments (and ours) actually optimise.
-        flat[f"{key}/p95"] = ("histogram", body["p95"])
-        flat[f"{key}/count"] = ("histogram", body["count"])
-    return flat
+def _kind(snapshot: dict, key: str) -> str | None:
+    """The registry kind behind one :func:`flatten_snapshot` key (None
+    when ``snapshot`` lacks it).  Later kinds win, as in the flattener."""
+    base, _, suffix = key.rpartition("/")
+    if suffix in HISTOGRAM_MERGE and base in snapshot.get("histograms", {}):
+        return "histogram"
+    if key in snapshot.get("gauges", {}):
+        return "gauge"
+    if key in snapshot.get("counters", {}):
+        return "counter"
+    return None
 
 
 def diff_snapshots(old: dict, new: dict) -> list[Delta]:
-    """All series whose value differs (absent treated as 0)."""
-    flat_old = _flatten(old)
-    flat_new = _flatten(new)
+    """All series whose value differs (absent treated as 0).  Histograms
+    compare on their tail latency (``/p95``) and ``/count``."""
+    flat_old = flatten_snapshot(old)
+    flat_new = flatten_snapshot(new)
     deltas = []
     for key in sorted(set(flat_old) | set(flat_new)):
-        kind_old, value_old = flat_old.get(key, (None, 0))
-        kind_new, value_new = flat_new.get(key, (None, 0))
+        value_old = flat_old.get(key, (0,))[0]
+        value_new = flat_new.get(key, (0,))[0]
         if value_old != value_new:
-            deltas.append(Delta(key, kind_new or kind_old, value_old, value_new))
+            kind = _kind(new, key) or _kind(old, key)
+            deltas.append(Delta(key, kind, value_old, value_new))
     return deltas
 
 

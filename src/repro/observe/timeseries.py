@@ -29,9 +29,10 @@ clock, so the whole store is a pure function of the campaign seed:
 same seed → byte-identical ``timeseries.json``, and a store captured in
 a checkpoint (format v4) resumes into an identical timeline.
 
-Flattening matches :mod:`repro.observe.diff`: counters and gauges keep
-their series key; histograms contribute ``<key>/p95`` (merge ``max``)
-and ``<key>/count`` (merge ``last``).
+:func:`flatten_snapshot` (shared with :mod:`repro.observe.diff`) names
+the series: counters and gauges keep their series key; histograms
+contribute ``<key>/p95`` (merge ``max``) and ``<key>/count`` (merge
+``last``).
 """
 
 from __future__ import annotations
@@ -48,18 +49,23 @@ __all__ = [
 ]
 
 #: suffix → merge mode for histogram-derived series
-_HISTOGRAM_FIELDS = (("p95", "max"), ("count", "last"))
+HISTOGRAM_MERGE = {"p95": "max", "count": "last"}
 
 
 def flatten_snapshot(snapshot: dict) -> dict[str, tuple[float, str]]:
-    """``{flat_key: (value, merge_mode)}`` for one registry snapshot."""
+    """``{flat_key: (value, merge_mode)}`` for one registry snapshot.
+
+    The one walk from a snapshot to flat series keys: the time-series
+    store samples it and :func:`repro.observe.diff.diff_snapshots`
+    compares two of them.
+    """
     flat: dict[str, tuple[float, str]] = {}
     for key, value in snapshot.get("counters", {}).items():
         flat[key] = (value, "last")
     for key, value in snapshot.get("gauges", {}).items():
         flat[key] = (value, "last")
     for key, body in snapshot.get("histograms", {}).items():
-        for field, merge in _HISTOGRAM_FIELDS:
+        for field, merge in HISTOGRAM_MERGE.items():
             flat[f"{key}/{field}"] = (body[field], merge)
     return flat
 

@@ -41,7 +41,7 @@ from repro.service.session_manager import (
     Session,
     SessionManager,
 )
-from repro.service.specs import CampaignSpec, SpecError
+from repro.service.specs import SPEC_FIELDS, CampaignSpec, SpecError
 
 __all__ = [
     "CampaignSpec",
@@ -55,6 +55,7 @@ __all__ = [
     "Response",
     "Route",
     "SERVICE_STATE_FILE",
+    "SPEC_FIELDS",
     "ServiceServer",
     "Session",
     "SessionManager",

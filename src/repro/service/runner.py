@@ -73,7 +73,10 @@ class JobRunner:
             FaultInjector(FaultPlan.from_dict(spec.faults))
             if spec.faults else None
         )
-        trained = self._trained()
+        trained = (
+            TrainedPMM.load(spec.model, self.kernel.table)
+            if spec.mode == "model" else None
+        )
         baseline = spec.mode == "baseline"
         oracle = spec.mode == "oracle"
         if spec.workers > 1:
@@ -94,17 +97,6 @@ class JobRunner:
                 baseline=baseline, oracle=oracle,
                 injector=injector, observer=self.observer,
             )
-
-    def _trained(self) -> TrainedPMM | None:
-        if self.spec.mode != "model":
-            return None
-        from repro.pmm.checkpoint import load_pmm
-
-        model, vocab, encoder = load_pmm(self.spec.model, self.kernel.table)
-        return TrainedPMM(
-            model=model, encoder=encoder, vocab=vocab,
-            dataset=None, validation=None,
-        )
 
     # ----- the orchestrator's drive surface -----
 

@@ -11,11 +11,11 @@ code or configuration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.kernel import KNOWN_SIZES
 
-__all__ = ["CampaignSpec", "SpecError"]
+__all__ = ["CampaignSpec", "SPEC_FIELDS", "SpecError"]
 
 MODES = ("oracle", "baseline", "model")
 
@@ -85,35 +85,19 @@ class CampaignSpec:
         return self.workers * self.hours
 
     def to_dict(self) -> dict:
-        payload = {
-            "tenant": self.tenant,
-            "kernel": self.kernel,
-            "kernel_seed": self.kernel_seed,
-            "size": self.size,
-            "mode": self.mode,
-            "model": self.model,
-            "hours": self.hours,
-            "seed": self.seed,
-            "seed_corpus": self.seed_corpus,
-            "workers": self.workers,
-            "shards": self.shards,
-            "batch_size": self.batch_size,
-            "heartbeat_deadline": self.heartbeat_deadline,
-            "faults": self.faults,
-        }
-        return payload
+        return {name: getattr(self, name) for name in SPEC_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
-        known = {
-            "tenant", "kernel", "kernel_seed", "size", "mode", "model",
-            "hours", "seed", "seed_corpus", "workers", "shards",
-            "batch_size", "heartbeat_deadline", "faults",
-        }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload).difference(SPEC_FIELDS))
         if unknown:
             raise SpecError(f"unknown spec field(s): {', '.join(unknown)}")
         try:
             return cls(**payload)
         except TypeError as error:
             raise SpecError(str(error))
+
+
+#: Every spec field, in declaration order: the wire form's keys and the
+#: ``repro submit`` flags that fill them.
+SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(CampaignSpec))

@@ -50,6 +50,7 @@ from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.executor import Executor
 from repro.observe import Observer
+from repro.pmm.checkpoint import load_pmm
 from repro.pmm.dataset import DatasetConfig, MutationDataset, harvest_mutations
 from repro.pmm.metrics import SelectorMetrics
 from repro.pmm.model import PMM, PMMConfig
@@ -70,6 +71,7 @@ from repro.snowplow.fuzzer import (
 )
 from repro.syzlang.generator import ProgramGenerator
 from repro.syzlang.program import Program
+from repro.syzlang.spec import SyscallTable
 from repro.vclock import CostModel, VirtualClock
 
 __all__ = [
@@ -117,8 +119,19 @@ class TrainedPMM:
     model: PMM
     encoder: GraphEncoder
     vocab: AsmVocab
-    dataset: MutationDataset
+    dataset: MutationDataset | None
     validation: SelectorMetrics | None
+
+    @classmethod
+    def load(cls, path: str, table: SyscallTable) -> TrainedPMM:
+        """A deployable model from a :func:`~repro.pmm.checkpoint
+        .save_pmm` checkpoint (no dataset or validation travels with
+        it).  The one loader behind ``--model`` and service specs."""
+        model, vocab, encoder = load_pmm(path, table)
+        return cls(
+            model=model, encoder=encoder, vocab=vocab,
+            dataset=None, validation=None,
+        )
 
 
 def train_pmm(
@@ -1139,13 +1152,12 @@ def run_directed_campaign(
     targets: list[int],
     config: CampaignConfig,
     oracle=None,
-    analysis=None,
 ) -> dict[int, dict[str, list[DirectedResult]]]:
     """Table 5: per-target time-to-reach for SyzDirect vs Snowplow-D.
 
-    ``oracle``/``analysis`` (from :mod:`repro.analyze`) upgrade the
-    SyzDirect mode to exact static steering slots and shared distance
-    maps; both default to None so baseline runs stay byte-identical.
+    ``oracle`` (a :class:`repro.analyze.DependencyOracle`) upgrades the
+    SyzDirect mode to exact static steering slots; it defaults to None
+    so baseline runs stay byte-identical.
     """
     if not targets:
         raise CampaignError("directed campaign needs at least one target")
@@ -1188,7 +1200,6 @@ def run_directed_campaign(
                     cost=config.cost,
                     rng=split(run_seed, "loop", mode),
                     mutation_overhead=overhead,
-                    analysis=analysis,
                 )
                 fuzzer.seed(seeds)
                 per_mode[mode].append(fuzzer.run())

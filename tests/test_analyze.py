@@ -3,12 +3,14 @@ dependency oracle, witness soundness, and the lint framework."""
 
 import copy
 import json
+import math
 
 import pytest
 
 from repro.analyze import (
     AbstractValue,
     DependencyOracle,
+    DistanceField,
     FlagRequirement,
     ReachabilityAnalysis,
     StaticOracleLocalizer,
@@ -257,9 +259,20 @@ class TestReachability:
                 checked += 1
         assert checked > 0
 
-    def test_distance_matches_kernel(self, tiny_68, reach_68):
-        target = sorted(tiny_68.bug_blocks.values())[0]
-        assert reach_68.distance_to(target) == tiny_68.distance_to(target)
+    def test_distance_matches_kernel(self, tiny_68):
+        """A DistanceField without producer edges gives reverse-BFS hop
+        counts toward every bug block: the directed fuzzer's closeness
+        metric is the patch director's field at one more cost setting."""
+        for target in sorted(tiny_68.bug_blocks.values()):
+            hops = {target: 0}
+            queue = [target]
+            for block in queue:
+                for pred in tiny_68.preds.get(block, ()):
+                    if pred not in hops:
+                        hops[pred] = hops[block] + 1
+                        queue.append(pred)
+            field = DistanceField(tiny_68, [target], state_edge_cost=math.inf)
+            assert field.distance == {b: float(d) for b, d in hops.items()}
 
     def test_injected_contradiction_kills_bug_chain(self, tiny_68):
         mutant, crash_id = _inject_dead_bug_chain(tiny_68)

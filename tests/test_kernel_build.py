@@ -84,7 +84,7 @@ class TestFrontier:
     def test_distance_to_target(self, kernel):
         cfg = next(iter(kernel.handlers.values()))
         exits = cfg.exits()
-        distance = kernel.distance_to(exits[0])
+        distance = kernel.target_distances([exits[0]])
         assert distance[exits[0]] == 0
         assert cfg.entry in distance  # exit reachable from entry
 

@@ -51,21 +51,28 @@ class TestStaticViews:
         assert frontier <= one_hop
 
     def test_distance_from_matches_distance_to(self, kernel):
-        """Forward distance from {entry} agrees with reverse distance to
-        a fixed target, for blocks on shortest entry paths."""
+        """Plain CFG distances toward a target are the hop counts of a
+        forward BFS from each block (the directed fuzzer's closeness
+        metric), for every block of a handler."""
         name = sorted(kernel.handlers)[0]
         cfg = kernel.handlers[name]
-        exits = cfg.exits()
-        forward = kernel.distance_from({cfg.entry})
-        backward = kernel.distance_to(exits[0])
-        # Triangle inequality: entry->exit length is bounded by any
-        # intermediate split.
-        if exits[0] in forward and cfg.entry in backward:
-            direct = forward[exits[0]]
-            assert direct <= backward[cfg.entry] + forward[cfg.entry]
+        target = cfg.exits()[0]
+        backward = kernel.target_distances([target])
+        for source in cfg.blocks:
+            hops = {source: 0}
+            queue = [source]
+            for block in queue:
+                for succ in kernel.succs.get(block, ()):
+                    if succ not in hops:
+                        hops[succ] = hops[block] + 1
+                        queue.append(succ)
+            if target in hops:
+                assert backward[source] == hops[target]
+            else:
+                assert source not in backward
 
     def test_distance_maps_nonnegative(self, kernel):
         name = sorted(kernel.handlers)[0]
         cfg = kernel.handlers[name]
-        for distance in kernel.distance_to(cfg.exits()[0]).values():
+        for distance in kernel.target_distances([cfg.exits()[0]]).values():
             assert distance >= 0
