@@ -38,6 +38,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.errors import ModelError
 from repro.kernel import KNOWN_SIZES, Executor, build_kernel
 from repro.observe import (
     Observer,
@@ -294,10 +295,18 @@ def _missing_model(args) -> bool:
 
 
 def _trained(args, kernel) -> TrainedPMM | None:
-    """The ``--model`` PMM, or None for --baseline/--oracle."""
+    """The ``--model`` PMM, or None for --baseline/--oracle.
+
+    A checkpoint that does not load ends the command: one ``error:``
+    line and exit status 2, like any other bad flag value.
+    """
     if args.baseline or args.oracle:
         return None
-    return TrainedPMM.load(args.model, kernel.table)
+    try:
+        return TrainedPMM.load(args.model, kernel.table)
+    except ModelError as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _fuzz_config(args) -> CampaignConfig:

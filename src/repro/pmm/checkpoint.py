@@ -12,6 +12,8 @@ threshold.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,6 +62,30 @@ def save_pmm(
     )
 
 
+def _read_archive(path: Path) -> tuple[dict, list[np.ndarray]]:
+    """The JSON header and the parameter arrays of checkpoint ``path``."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            header = json.loads(bytes(archive["header"]).decode())
+            arrays = [
+                archive[key]
+                for key in sorted(
+                    k for k in archive.files if k.startswith("param_")
+                )
+            ]
+    except (
+        OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+        zlib.error,
+    ) as error:
+        raise ModelError(
+            f"checkpoint {path} is unreadable: {type(error).__name__}: "
+            f"{error}"
+        ) from error
+    if not isinstance(header, dict):
+        raise ModelError(f"checkpoint {path} header is not a JSON object")
+    return header, arrays
+
+
 def load_pmm(
     path: str | Path, table: SyscallTable
 ) -> tuple[PMM, AsmVocab, GraphEncoder]:
@@ -67,23 +93,28 @@ def load_pmm(
 
     ``table`` must carry at least the syscalls the model was trained
     with; a changed table would silently shift syscall embedding ids, so
-    mismatches raise :class:`ModelError`.
+    mismatches raise :class:`ModelError`.  So does any file that is not
+    a well-formed checkpoint.
     """
     path = Path(path)
     if not path.exists():
         raise ModelError(f"checkpoint {path} does not exist")
-    with np.load(path, allow_pickle=False) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise ModelError(
-                f"unsupported checkpoint version "
-                f"{header.get('format_version')!r}"
-            )
-        arrays = [
-            archive[key]
-            for key in sorted(k for k in archive.files if k.startswith("param_"))
-        ]
-    trained_on = header["syscalls"]
+    header, arrays = _read_archive(path)
+    if header.get("format_version") != _FORMAT_VERSION:
+        raise ModelError(
+            f"unsupported checkpoint version "
+            f"{header.get('format_version')!r}"
+        )
+    try:
+        trained_on = list(header["syscalls"])
+        token_to_id = {token: i for i, token in enumerate(header["vocab"])}
+        config = PMMConfig(**header["config"])
+        decision_threshold = float(header["decision_threshold"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise ModelError(
+            f"checkpoint {path} has a malformed header: "
+            f"{type(error).__name__}: {error}"
+        ) from error
     current = set(_table_fingerprint(table))
     missing = [name for name in trained_on if name not in current]
     if missing:
@@ -91,15 +122,11 @@ def load_pmm(
             f"table is missing syscalls the checkpoint was trained with: "
             f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
         )
-    vocab = AsmVocab(
-        token_to_id={token: i for i, token in enumerate(header["vocab"])}
-    )
+    vocab = AsmVocab(token_to_id=token_to_id)
     # Rebuild the encoder from the *training-time* syscall list so the
     # embedding ids line up even when the deployment table grew.
     encoder = GraphEncoder.from_names(vocab, trained_on)
-    model = PMM(
-        len(vocab), encoder.num_syscalls, PMMConfig(**header["config"])
-    )
+    model = PMM(len(vocab), encoder.num_syscalls, config)
     model.load_state_arrays(arrays)
-    model.decision_threshold = float(header["decision_threshold"])
+    model.decision_threshold = decision_threshold
     return model, vocab, encoder

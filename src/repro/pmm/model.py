@@ -130,15 +130,25 @@ class PMM(Module):
 
     # ----- forward -----
 
-    def node_states(self, graph: EncodedGraph) -> Tensor:
-        """Initial node features + GNN message passing."""
+    def node_states(
+        self, graph: EncodedGraph, block_encoder=None
+    ) -> Tensor:
+        """Initial node features + GNN message passing.
+
+        ``block_encoder`` maps the block nodes' token rows [B, L] to
+        pooled embeddings [B, D]; it defaults to :attr:`asm_encoder`.
+        A fuzz-time owner of a frozen model passes a cached one
+        (:class:`~repro.snowplow.fuzzer.PMMLocalizer`).
+        """
+        if block_encoder is None:
+            block_encoder = self.asm_encoder
         block_rows = np.flatnonzero(graph.node_kind >= 2)
         states = self.kind_embedding(graph.node_kind)
         states = states + self.syscall_embedding(graph.syscall_id)
         states = states + self.arg_kind_embedding(graph.arg_kind_id)
         states = states + self._slot_vectors(graph.slot)
         if len(block_rows):
-            block_embeddings = self.asm_encoder(graph.asm_tokens[block_rows])
+            block_embeddings = block_encoder(graph.asm_tokens[block_rows])
             expanded = scatter_add(block_embeddings, block_rows, graph.num_nodes)
             states = states + expanded
         states = states + Tensor(graph.target_flag[:, None]) * self.target_marker
@@ -169,10 +179,13 @@ class PMM(Module):
         vocab_rows = np.where(slots > 0, slots + 2, 0)
         return self.asm_encoder.token_embedding(vocab_rows)
 
-    def forward(self, graph: EncodedGraph) -> Tensor:
+    def forward(self, graph: EncodedGraph, block_encoder=None) -> Tensor:
         """MUTATE logits for the mutable argument nodes ([A] tensor,
-        ordered as ``np.flatnonzero(graph.arg_mask)``)."""
-        states = self.node_states(graph)
+        ordered as ``np.flatnonzero(graph.arg_mask)``).
+
+        ``block_encoder``: see :meth:`node_states`.
+        """
+        states = self.node_states(graph, block_encoder)
         arg_rows = np.flatnonzero(graph.arg_mask)
         if len(arg_rows) == 0:
             raise ModelError("graph has no mutable argument nodes")
@@ -233,15 +246,19 @@ class PMM(Module):
     # ----- inference -----
 
     def predict_paths(
-        self, graph: EncodedGraph, threshold: float | None = None
+        self, graph: EncodedGraph, threshold: float | None = None,
+        block_encoder=None,
     ) -> list:
-        """Argument paths predicted MUTATE (decoded from arg_mask rows)."""
+        """Argument paths predicted MUTATE (decoded from arg_mask rows).
+
+        ``block_encoder``: see :meth:`node_states`.
+        """
         from repro.nn.tensor import no_grad
 
         if threshold is None:
             threshold = self.decision_threshold
         with no_grad():
-            logits = self.forward(graph)
+            logits = self.forward(graph, block_encoder)
         probabilities = 1.0 / (1.0 + np.exp(-logits.data))
         arg_rows = np.flatnonzero(graph.arg_mask)
         order = np.argsort(-probabilities)

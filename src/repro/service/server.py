@@ -16,6 +16,7 @@ the digest-checked v7 envelope.
 
 from __future__ import annotations
 
+from repro.errors import ReproError
 from repro.observe import TimeSeriesStore
 from repro.service.orchestrator import (
     DONE,
@@ -25,8 +26,21 @@ from repro.service.orchestrator import (
 from repro.service.routes import Request, Response, match
 from repro.service.session_manager import Quota, QuotaError, SessionManager
 from repro.service.specs import CampaignSpec, SpecError
+from repro.snowplow.campaign import TrainedPMM
+from repro.syzlang import build_standard_table
 
 __all__ = ["ServiceServer"]
+
+
+def _check_model(spec: CampaignSpec) -> None:
+    """Reject a model-mode spec whose checkpoint does not load against
+    its release's syscall table.  Runs once, at submit: a job that was
+    accepted must not fail on every later ``/advance``.  Loading needs
+    only the table, not a kernel build."""
+    try:
+        TrainedPMM.load(spec.model, build_standard_table(spec.kernel))
+    except ReproError as error:
+        raise SpecError(str(error)) from error
 
 
 class ServiceServer:
@@ -67,6 +81,8 @@ class ServiceServer:
         params.pop("budget_hours", None)
         params.pop("priority", None)
         spec = CampaignSpec.from_dict(params)
+        if spec.mode == "model":
+            _check_model(spec)
         if overrides:
             base = self.sessions.get(spec.tenant)
             current = base.quota if base is not None else Quota()

@@ -28,6 +28,7 @@ from repro.graphs.build import build_query_graph
 from repro.graphs.encode import GraphEncoder
 from repro.kernel.build import Kernel
 from repro.kernel.coverage import Coverage
+from repro.nn.tensor import Tensor, no_grad
 from repro.pmm.model import PMM
 from repro.observe import Observer
 from repro.pmm.serve import BatchingInferenceService, InferenceService
@@ -154,6 +155,14 @@ class PMMLocalizer:
 
     Used directly (synchronously) by Snowplow-D; the undirected Snowplow
     loop goes through the asynchronous service instead.
+
+    The localizer is the fuzz-time owner of one kernel and one frozen
+    model.  Contract: ``model`` is never trained while a localizer
+    holds it (weights change only in the trainer, assembly pretraining
+    and checkpoint loading, all of which finish before a localizer is
+    built).  That makes a block's pooled assembly embedding a function
+    of its token row alone, so :meth:`encode_blocks` computes each
+    distinct row once per localizer instead of once per query.
     """
 
     def __init__(
@@ -176,6 +185,9 @@ class PMMLocalizer:
         self.cache_size = cache_size
         self.profiler = profiler
         self._cache: dict = {}
+        # Pooled block embeddings keyed by token-row bytes; unbounded,
+        # since there are at most as many rows as kernel blocks.
+        self._block_embeddings: dict[bytes, np.ndarray] = {}
 
     def _section(self, name: str):
         if self.profiler is None:
@@ -208,11 +220,35 @@ class PMMLocalizer:
         with self._section("localizer.encode"):
             encoded = self.encoder.encode(graph)
         with self._section("localizer.gnn_forward"):
-            paths = self.model.predict_paths(encoded, threshold=self.threshold)
+            paths = self.model.predict_paths(
+                encoded, threshold=self.threshold,
+                block_encoder=self.encode_blocks,
+            )
         if len(self._cache) >= self.cache_size:
             self._cache.clear()
         self._cache[cache_key] = list(paths)
         return paths
+
+    def encode_blocks(self, token_rows: np.ndarray) -> Tensor:
+        """Pooled embeddings [B, D] of block ``token_rows`` [B, L].
+
+        Rows not seen before are encoded in one batch through the
+        model's assembly encoder; pooled rows do not depend on the
+        batch they were encoded in, so cached and fresh rows agree
+        bit for bit.
+        """
+        cache = self._block_embeddings
+        keys = [row.tobytes() for row in token_rows]
+        misses = {
+            key: row for key, row in zip(keys, token_rows) if key not in cache
+        }
+        if misses:
+            with no_grad():
+                pooled = self.model.asm_encoder(
+                    np.stack(list(misses.values()))
+                )
+            cache.update(zip(misses, pooled.data))
+        return Tensor(np.stack([cache[key] for key in keys]))
 
     @staticmethod
     def _cache_key(program: Program, targets: set[int]):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graphs.encode import MAX_ASM_LEN, PAD
+from repro.graphs.encode import MAX_ASM_LEN, PAD, AsmVocab
+from repro.kernel import build_kernel
 from repro.pmm.asm_encoder import AsmEncoder, MaskedLMHead
 from repro.rng import make_rng
 
@@ -60,6 +61,39 @@ class TestAsmEncoder:
         grads = [p.grad for p in encoder.parameters() if p.grad is not None]
         assert grads
         assert all(np.isfinite(g).all() for g in grads)
+
+
+class TestBatchIndependence:
+    """A pooled row must not depend on the batch it was encoded in.
+
+    ``PMMLocalizer.encode_blocks`` serves each query's blocks from rows
+    encoded in earlier, differently shaped batches; that is exact only
+    if this holds bit for bit.  On a host whose BLAS rounds differently
+    by batch shape, this test fails instead of campaigns drifting.
+    """
+
+    @pytest.fixture(scope="class")
+    def block_tokens(self):
+        kernel = build_kernel("6.8", seed=1, size="tiny")
+        vocab = AsmVocab.build(kernel)
+        rows = [vocab.encode(kernel.blocks[block].asm)
+                for block in sorted(kernel.blocks)]
+        return len(vocab), np.array(rows[::8], dtype=np.int64)
+
+    @pytest.mark.parametrize("dim,heads,layers", [(16, 2, 1), (48, 4, 2)])
+    def test_single_batched_and_permuted_rows_are_bit_equal(
+        self, block_tokens, dim, heads, layers
+    ):
+        vocab_size, tokens = block_tokens
+        encoder = AsmEncoder(vocab_size, dim, heads, layers, make_rng(0))
+        batched = encoder(tokens).data
+        single = np.concatenate(
+            [encoder(tokens[i:i + 1]).data for i in range(len(tokens))]
+        )
+        order = make_rng(1).permutation(len(tokens))
+        permuted = encoder(tokens[order]).data
+        assert np.array_equal(single, batched)
+        assert np.array_equal(permuted, batched[order])
 
 
 class TestMaskTokens:

@@ -1,5 +1,8 @@
 """Tests for checkpointing, corpus distillation, the Fig. 1 API, and CLI."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,53 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, kernel, tmp_path):
         with pytest.raises(ModelError):
             load_pmm(tmp_path / "nope.npz", kernel.table)
+
+    @pytest.mark.parametrize("damage", [
+        "text-file", "truncated", "corrupted", "empty", "directory",
+        "no-header", "header-not-json", "no-syscalls", "unknown-config-key",
+        "non-numeric-threshold",
+    ])
+    def test_malformed_checkpoint_raises_model_error(
+        self, kernel, artifacts, damage
+    ):
+        """Every way a checkpoint file can be broken surfaces as the
+        loader's domain error, never as a zip/JSON/config exception."""
+        _, _, path = artifacts
+        raw = path.read_bytes()
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        header = json.loads(bytes(arrays["header"]).decode())
+        if damage == "text-file":
+            path.write_text("not a checkpoint\n")
+        elif damage == "truncated":
+            path.write_bytes(raw[: len(raw) // 2])
+        elif damage == "corrupted":
+            flipped = bytes(byte ^ 0x5A for byte in raw[200:264])
+            path.write_bytes(raw[:200] + flipped + raw[264:])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            if damage == "no-header":
+                del arrays["header"]
+            elif damage == "header-not-json":
+                arrays["header"] = np.frombuffer(b"{not json", dtype=np.uint8)
+            else:
+                if damage == "no-syscalls":
+                    del header["syscalls"]
+                elif damage == "unknown-config-key":
+                    header["config"]["bogus"] = 1
+                else:
+                    header["decision_threshold"] = "high"
+                arrays["header"] = np.frombuffer(
+                    json.dumps(header).encode(), dtype=np.uint8
+                )
+            with path.open("wb") as handle:
+                np.savez_compressed(handle, **arrays)
+        with pytest.raises(ModelError, match=re.escape(str(path))):
+            load_pmm(path, kernel.table)
 
 
 class TestDistill:

@@ -2,6 +2,9 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from repro.cli import main
 
 
@@ -97,6 +100,38 @@ class TestCliCluster:
             "cluster", "--size", "small", "--worker-counts", "1",
         ])
         assert code == 2
+
+
+class TestCliBadModel:
+    """A ``--model`` that does not load exits 2 with one ``error:`` line
+    instead of a traceback."""
+
+    @pytest.fixture(params=["missing", "truncated"])
+    def bad_model(self, request, tmp_path):
+        path = tmp_path / "pmm.npz"
+        if request.param == "truncated":
+            np.savez_compressed(path, header=np.zeros(256, dtype=np.uint8))
+            path.write_bytes(path.read_bytes()[:40])
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["fuzz"],
+        ["cluster", "--worker-counts", "1"],
+        ["cluster", "chaos"],
+    ], ids=["fuzz", "cluster", "cluster-chaos"])
+    def test_bad_model_exits_2(self, command, bad_model, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                *command, "--size", "tiny", "--model", str(bad_model),
+                "--hours", "0.1", "--seed-corpus", "4",
+            ])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: checkpoint ")
+        assert str(bad_model) in lines[0]
+        assert captured.out == ""
 
 
 class TestCliObserve:

@@ -94,6 +94,12 @@ class TestForward:
         # Every component should participate except possibly unused
         # relation weights.
         assert with_grad > 0.5 * len(model.parameters())
+        # The whole assembly encoder trains end to end: the training
+        # path never takes the fuzz-time block-embedding cache.
+        assert all(
+            parameter.grad is not None
+            for parameter in model.asm_encoder.parameters()
+        )
 
 
 class TestWeightTying:

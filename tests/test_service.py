@@ -154,25 +154,30 @@ class TestSessionManager:
             Quota(budget_hours=0.0)
 
 
+def _tiny_checkpoint(path):
+    """An untrained tiny-6.8 PMM saved to ``path``."""
+    from repro.graphs import AsmVocab, GraphEncoder
+    from repro.pmm import PMM, PMMConfig
+    from repro.pmm.checkpoint import save_pmm
+
+    kernel = build_kernel("6.8", seed=1, size="tiny")
+    vocab = AsmVocab.build(kernel)
+    encoder = GraphEncoder(vocab, kernel.table)
+    model = PMM(
+        len(vocab), encoder.num_syscalls,
+        PMMConfig(dim=16, gnn_layers=1, asm_layers=1, asm_heads=2, seed=3),
+    )
+    save_pmm(path, model, vocab, kernel.table)
+    return path
+
+
 class TestJobRunner:
     def test_model_job_builds_its_kernel_once(self, tmp_path, monkeypatch):
         """The PMM checkpoint loads against the job's own kernel table;
         materializing a model-mode job builds one kernel, not two."""
         import repro.service.runner as runner_module
-        from repro.graphs import AsmVocab, GraphEncoder
-        from repro.pmm import PMM, PMMConfig
-        from repro.pmm.checkpoint import save_pmm
 
-        kernel = build_kernel("6.8", seed=1, size="tiny")
-        vocab = AsmVocab.build(kernel)
-        encoder = GraphEncoder(vocab, kernel.table)
-        model = PMM(
-            len(vocab), encoder.num_syscalls,
-            PMMConfig(dim=16, gnn_layers=1, asm_layers=1, asm_heads=2,
-                      seed=3),
-        )
-        path = tmp_path / "pmm.npz"
-        save_pmm(path, model, vocab, kernel.table)
+        path = _tiny_checkpoint(tmp_path / "pmm.npz")
         builds = []
 
         def counting_build(*args, **kwargs):
@@ -187,6 +192,38 @@ class TestJobRunner:
         assert len(builds) == 1
         assert runner.loop is not None
         assert runner.loop.pmm_localizer.model is not None
+
+
+class TestModelSubmit:
+    """A model-mode campaign's checkpoint is checked once, at submit."""
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_bad_checkpoint_is_400(self, tmp_path, damage):
+        path = tmp_path / "pmm.npz"
+        if damage == "truncated":
+            raw = _tiny_checkpoint(path).read_bytes()
+            path.write_bytes(raw[: len(raw) // 2])
+        server = ServiceServer(fleet_size=2)
+        response = server.handle(Request("POST", "/campaigns", _spec_params(
+            "alice", mode="model", model=str(path),
+        )))
+        assert response.status == 400
+        assert str(path) in response.body["error"]
+        assert server.orchestrator.jobs == {}
+        listed = server.handle(Request("GET", "/campaigns"))
+        assert listed.body["jobs"] == []
+
+    def test_good_checkpoint_runs_to_done(self, tmp_path):
+        path = _tiny_checkpoint(tmp_path / "pmm.npz")
+        server = ServiceServer(fleet_size=2)
+        job_id = _submit(
+            server, "alice", mode="model", model=str(path), hours=0.1,
+            seed_corpus=4,
+        )
+        assert _advance(server)["done"] == [job_id]
+        result = _result(server, job_id)
+        assert result["mode"] == "model"
+        assert result["executions"] > 0
 
 
 class TestServiceLifecycle:

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
+from repro.graphs import AsmVocab, GraphEncoder, build_query_graph
+from repro.nn.tensor import no_grad
+from repro.pmm import PMM, DatasetConfig, PMMConfig, TrainConfig
 from repro.rng import derive_seed, make_rng, split
 from repro.snowplow import CampaignConfig, SnowplowConfig, train_pmm
 from repro.snowplow.campaign import build_loop
 from repro.snowplow.fuzzer import PMMLocalizer
-from repro.kernel import Executor
+from repro.kernel import Executor, build_kernel
 from repro.syzlang import ProgramGenerator
 
 
@@ -137,3 +140,66 @@ class TestLocalizerCache:
             targets = set(list(kernel.frontier(coverage.blocks))[:2])
             localizer.localize(program, coverage, targets, rng)
         assert len(localizer._cache) <= 2
+
+
+@pytest.fixture(scope="module")
+def tiny_68():
+    return build_kernel("6.8", seed=1, size="tiny")
+
+
+@pytest.fixture(scope="module", params=[16, 48], ids=["dim16", "dim48"])
+def untrained(request, tiny_68):
+    """An untrained PMM: equality of cached and plain encodings does
+    not depend on what the weights are."""
+    vocab = AsmVocab.build(tiny_68)
+    encoder = GraphEncoder(vocab, tiny_68.table)
+    model = PMM(
+        len(vocab), encoder.num_syscalls,
+        PMMConfig(dim=request.param, seed=7),
+    )
+    return model, encoder
+
+
+class TestBlockEmbeddingCache:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seeds=st.lists(st.integers(0, 10_000), min_size=3, max_size=5),
+        data=st.data(),
+    )
+    def test_cached_blocks_match_plain_forward(
+        self, tiny_68, untrained, seeds, data
+    ):
+        """Queries through one localizer fill its block cache from
+        several miss batches; every query's logits and predicted paths
+        still equal the uncached model's, bit for bit."""
+        model, encoder = untrained
+        executor = Executor(tiny_68)
+        localizer = PMMLocalizer(model, encoder, tiny_68, executor)
+        for seed in seeds:
+            program = ProgramGenerator(
+                tiny_68.table, make_rng(seed)
+            ).random_program()
+            coverage = executor.run(program).coverage
+            frontier = sorted(tiny_68.frontier(coverage.blocks))
+            if not frontier:
+                continue
+            targets = set(data.draw(st.lists(
+                st.sampled_from(frontier), min_size=1, max_size=8,
+                unique=True,
+            )))
+            paths = localizer.localize(program, coverage, targets, make_rng(0))
+            graph = build_query_graph(program, coverage, tiny_68, targets)
+            if not graph.mutable_argument_nodes():
+                continue
+            encoded = encoder.encode(graph)
+            with no_grad():
+                cached = model.forward(encoded, localizer.encode_blocks)
+                plain = model.forward(encoded)
+            assert np.array_equal(cached.data, plain.data)
+            assert paths == model.predict_paths(
+                encoded, threshold=localizer.threshold
+            )
