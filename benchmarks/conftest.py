@@ -3,8 +3,10 @@
 The kernels and the trained PMM are session-scoped: Table 1, Fig. 6, and
 Tables 2-5 all reuse the same §5.1 training run, exactly as the paper
 trains once on 6.8 and deploys everywhere.  Every bench writes the
-table/figure it regenerates to ``benchmarks/results/`` so the output
-survives the pytest run.
+table/figure it regenerates to the gitignored ``benchmarks/out/``, so a
+bench run never touches a tracked file.  The committed baselines live in
+``benchmarks/results/``; to re-pin one, copy the fresh file from
+``out/`` over it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
 from repro.snowplow import train_pmm
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 # Laptop-scale experiment sizing (paper values in DESIGN.md's table).
 TRAIN_CORPUS = 60
@@ -27,8 +30,8 @@ TRAIN_EPOCHS = 2
 
 
 def write_result(name: str, text: str) -> None:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, name)
     with open(path, "w") as handle:
         handle.write(text + "\n")
     print(f"\n{text}\n[written to {path}]")
@@ -49,36 +52,59 @@ def write_metrics(name: str, metrics) -> str:
         for key, value in metrics.items():
             registry.gauge(str(key)).set(value)
         metrics = registry
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
+    os.makedirs(OUT_DIR, exist_ok=True)
+    path = os.path.join(OUT_DIR, name)
     with open(path, "w") as handle:
         handle.write(metrics.to_json() + "\n")
     print(f"[metrics written to {path}]")
     return path
 
 
-def gate_metrics(name: str, metrics) -> None:
-    """Write ``metrics`` as ``results/<name>`` and gate it against the
-    committed baseline that file held.
+def _series(path: str) -> dict:
+    from repro.observe.timeseries import flatten_snapshot
 
-    The baseline is read before :func:`write_metrics` replaces it; a
-    first run with no baseline seeds it and passes.  Fails when
-    :func:`~repro.observe.flag_regressions` (default 10 % threshold,
-    direction read off each series name) flags any series.
-    """
-    from repro.observe import flag_regressions
-
-    baseline = None
-    path = os.path.join(RESULTS_DIR, name)
-    if os.path.exists(path):
-        with open(path) as handle:
-            baseline = json.load(handle)
-    write_metrics(name, metrics)
     with open(path) as handle:
-        fresh = json.load(handle)
-    if baseline is None:
-        baseline = fresh
-    assert flag_regressions(baseline, fresh) == []
+        flat = flatten_snapshot(json.load(handle))
+    return {key: value for key, (value, _) in flat.items()}
+
+
+def gate_metrics(name: str, metrics) -> None:
+    """Write ``metrics`` as ``out/<name>`` and fail unless it equals the
+    committed ``results/<name>`` baseline series for series.
+
+    Every series is gated by exact equality: the benches are seeded, so
+    a changed value, a series the fresh run lacks, one the baseline
+    lacks, or a missing baseline each fail, naming what differs.  Host
+    time is nondeterministic, so it stays out of gated snapshots (the
+    text tables carry it).  To re-pin, copy the fresh file over the
+    baseline.
+    """
+    fresh_path = write_metrics(name, metrics)
+    baseline_path = os.path.join(RESULTS_DIR, name)
+    assert os.path.exists(baseline_path), (
+        f"no committed baseline {baseline_path}; to pin one, copy "
+        f"{fresh_path} there"
+    )
+    baseline = _series(baseline_path)
+    fresh = _series(fresh_path)
+    problems = [
+        f"{key}: {baseline[key]} -> {fresh[key]}"
+        for key in sorted(baseline.keys() & fresh.keys())
+        if baseline[key] != fresh[key]
+    ]
+    problems += [
+        f"{key}: missing from the fresh run"
+        for key in sorted(baseline.keys() - fresh.keys())
+    ]
+    problems += [
+        f"{key}: not in the baseline"
+        for key in sorted(fresh.keys() - baseline.keys())
+    ]
+    assert not problems, (
+        f"{fresh_path} differs from the committed {baseline_path}:\n  "
+        + "\n  ".join(problems)
+        + "\nto re-pin, copy the fresh file over the baseline"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,10 @@ Three acceptance experiments for `repro.cluster`:
   sublinearly) and whose serving tier, under load shedding, keeps the
   p95 queue delay no worse than the PR-4 single-loop figure (~2260
   virtual seconds), all pinned by the committed ``BENCH_PR6.json``
-  baseline via ``flag_regressions``.
+  baseline, which every series must reproduce exactly.
 
-Runs on small/tiny kernels with the oracle localizer so the CI smoke
-job can afford it; the shapes, not the absolute numbers, are the claims.
+Runs on small/tiny kernels with the oracle localizer so CI's ``fleet``
+gate can afford it; the shapes, not the absolute numbers, are the claims.
 """
 
 import os
@@ -25,7 +25,7 @@ import os
 import pytest
 
 from benchmarks.conftest import (
-    RESULTS_DIR,
+    OUT_DIR,
     gate_metrics,
     write_metrics,
     write_result,
@@ -76,7 +76,7 @@ def test_bench_cluster_scaling(benchmark, small_kernel):
     widest = result.points[-1]
     write_metrics("cluster_scaling.json", widest.observer.registry)
     exported = widest.observer.export(
-        os.path.join(RESULTS_DIR, "cluster_scaling_telemetry")
+        os.path.join(OUT_DIR, "cluster_scaling_telemetry")
     )
     assert "trace.json" in exported
 
@@ -179,7 +179,6 @@ def test_bench_pr6_fleet_scaling(benchmark):
     per_worker_64 = sync_seconds_per_worker(64)
 
     metrics = {
-        # "delay" marks this higher-is-worse for flag_regressions.
         "bench.fleet.queue_delay_p95": round(
             service.queue_delay.p95, 3
         ),

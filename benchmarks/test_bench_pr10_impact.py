@@ -8,15 +8,15 @@ undirected run) that merely records when each changed block of the
 6.8→6.9 diff is first covered, the directed arm actively scheduling
 distance-ranked targets with pending-slot steering.
 
-Headline metrics, direction-tagged for ``flag_regressions``:
+Headline metrics, which like every other series in the baseline must
+reproduce exactly:
 
 - ``directed_latency_vseconds`` — virtual time until the directed arm
-  has covered every fuzzable changed block ("latency": higher is
-  worse);
-- ``directed_plain_latency_ratio`` — directed over plain time-to-all;
-  the ISSUE acceptance bound pins it at <= 0.5 ("latency" again);
+  has covered every fuzzable changed block;
+- ``directed_plain_latency_ratio`` — directed over plain time-to-all,
+  bounded at <= 0.5;
 - ``targets_completed_fraction`` — share of fuzzable changed blocks
-  the directed arm reached ("completed": lower is worse).
+  the directed arm reached.
 """
 
 from benchmarks.conftest import gate_metrics, write_result
@@ -65,7 +65,6 @@ def test_bench_pr10_impact_gate(benchmark):
     )
 
     metrics = {
-        # Direction-tagged headline numbers.
         "bench.impact.directed_latency_vseconds": round(
             result.directed_time, 1
         ),
@@ -73,7 +72,7 @@ def test_bench_pr10_impact_gate(benchmark):
         "bench.impact.targets_completed_fraction": round(
             result.targets_reached_fraction(), 4
         ),
-        # Untracked shape-of-the-diff context.
+        # Shape-of-the-diff context.
         "bench.impact.changed_blocks": float(len(report.changed_blocks())),
         "bench.impact.changed_predicates": float(
             len(report.changed_predicates)

@@ -1,11 +1,10 @@
 """PR 4 trajectory gate: the analytics stack on a tiny traced campaign.
 
 One fully-observed oracle campaign on the "tiny" kernel produces the
-three headline numbers the CI bench-gate tracks across PRs —
+three headline numbers the CI ``analytics`` gate tracks across PRs —
 tests/virtual-second, p95 inference queue delay, and coverage at a
 fixed virtual budget.  The run is deterministic, so the committed
-``BENCH_PR4.json`` baseline must reproduce byte-for-byte; any drift
-beyond the ``flag_regressions`` threshold in the bad direction fails
+``BENCH_PR4.json`` baseline must reproduce exactly; any change fails
 the bench.
 """
 
@@ -25,7 +24,7 @@ from repro.syzlang import ProgramGenerator
 
 
 def _traced_campaign():
-    """The tiny observed campaign the CI bench-gate re-runs."""
+    """The tiny observed campaign the CI ``analytics`` gate re-runs."""
     kernel = build_kernel("6.8", seed=1, size="tiny")
     config = CampaignConfig(
         horizon=2400.0, runs=1, seed=11, seed_corpus_size=12,
@@ -51,8 +50,6 @@ def test_bench_pr4_analytics_gate(benchmark):
     queue_delay_p95 = loop.service.stats.queue_delay.p95
     new_edges = len(loop.accumulated.edges)
 
-    # Series names reuse the diff heuristics' direction tags:
-    # "executions"/"new_edges" are lower-is-worse, "delay" higher-is-worse.
     gate_metrics("BENCH_PR4.json", {
         "bench.executions_per_second": round(throughput, 3),
         "bench.queue_delay_p95": round(queue_delay_p95, 3),

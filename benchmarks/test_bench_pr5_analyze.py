@@ -1,13 +1,13 @@
 """PR 5 trajectory gate: the static-analysis stack.
 
 Three deterministic headline groups feed the committed ``BENCH_PR5.json``
-baseline:
+baseline, which every series must reproduce exactly:
 
-- analysis cost: wall-time (untagged, machine-dependent, never gated)
-  plus dead-block and finding counts per stock release;
+- analysis size: block, dead-block and warning counts per stock
+  release (the analysis wall time is machine-dependent, so it appears
+  only in the text table);
 - the Table-1 upper bound: the static oracle scores 1.0 against its own
-  ground truth by construction, the trained PMM lands below it, and the
-  PMM score is direction-tagged so drops fail ``flag_regressions``;
+  ground truth by construction and the trained PMM lands below it;
 - directed steering: oracle-augmented SyzDirect must reach its targets
   with no more executions than the plain heuristic.
 """
@@ -158,13 +158,9 @@ def test_bench_pr5_analyze_gate(benchmark):
     metrics = {}
     for version, row in rows.items():
         tag = version.replace(".", "_")
-        # Wall time is machine-dependent: recorded for trend reading,
-        # untagged so flag_regressions never gates on it.
-        metrics[f"bench.analyze.wall_seconds_{tag}"] = round(row["wall"], 3)
         metrics[f"bench.analyze.blocks_{tag}"] = float(row["blocks"])
         metrics[f"bench.analyze.dead_blocks_{tag}"] = float(row["dead"])
         metrics[f"bench.analyze.warnings_{tag}"] = float(row["warnings"])
-    # "productive" marks the PMM score lower-is-worse for the gate.
     metrics["bench.analyze.pmm_productive_f1"] = round(pmm_m.f1, 4)
     metrics["bench.analyze.oracle_gap_f1"] = round(
         oracle_m.f1 - pmm_m.f1, 4

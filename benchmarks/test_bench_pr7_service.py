@@ -6,10 +6,9 @@ multiplexed with 1, 3, and 7 other tenants on a shared fleet.
 Isolation means the tracked campaign's results — edges,
 executions, hub syncs, its full signature — must be *identical* at every
 concurrency level, so the committed ``BENCH_PR7.json`` baseline
-reproduces byte-for-byte and ``flag_regressions`` gates the rest.  The
-orchestrator's wall-clock overhead versus running the loops directly is
-recorded as a diagnostic (untagged name, so nondeterministic timing
-never trips the gate).
+reproduces exactly.  The orchestrator's wall-clock overhead versus
+running the loops directly is nondeterministic, so it is reported in
+the text table only.
 """
 
 import time
@@ -93,10 +92,6 @@ def test_bench_pr7_service_gate(benchmark):
     wall_x8 = by_level[8][2]
     overhead_pct = 100.0 * (wall_x8 - 8 * solo_wall) / (8 * solo_wall)
 
-    # Deterministic series carry direction tags ("executions",
-    # "new_edges", "corpus_size" are lower-is-worse); the wall-clock
-    # overhead series is deliberately untagged so timing noise is
-    # reported but never gates.
     gate_metrics("BENCH_PR7.json", {
         "bench.service.executions": float(tracked["executions"]),
         "bench.service.new_edges_at_budget": float(tracked["final_edges"]),
@@ -105,7 +100,6 @@ def test_bench_pr7_service_gate(benchmark):
             by_level[CONCURRENCY[0]][1]
         ),
         "bench.service.isolation_holds": 1.0,
-        "bench.service.orchestrator_overhead_pct": round(overhead_pct, 1),
     })
 
     lines = [

@@ -1,18 +1,17 @@
 """PR 9 trajectory gate: corpus lineage and coverage attribution.
 
-Headline groups feeding the committed ``BENCH_PR9.json`` baseline:
+Headline groups feeding the committed ``BENCH_PR9.json`` baseline,
+which every series must reproduce exactly:
 
 - attribution completeness on the traced tiny/6.8 campaign: the
   fraction of bugs with complete reproduction chains (must be 1.0) and
-  the fraction of final edges with a first-cover owner (floor 0.95),
-  both direction-tagged so a drop fails ``flag_regressions``;
+  the fraction of final edges with a first-cover owner (floor 0.95);
 - per-engine earnings from the oracle-steered run: mutations spent,
   edges/bugs earned, and the dead-mutation share per engine/slot;
 - the continuous-profiling gauges: virtual executions per virtual
-  second (a cost-model check, not host throughput, tagged
-  lower-is-worse) plus the per-phase time shares
-  (mutate/exec/triage/hub_sync) — deterministic because they derive
-  from the virtual clock's charge ledger, not wall time.
+  second (a cost-model check, not host throughput) plus the per-phase
+  time shares (mutate/exec/triage/hub_sync) — deterministic because
+  they derive from the virtual clock's charge ledger, not wall time.
 """
 
 from benchmarks.conftest import gate_metrics, write_result
@@ -36,7 +35,7 @@ PHASES = ("mutation", "execution", "triage", "hub_sync")
 
 
 def _traced_campaign():
-    """The tiny/6.8 oracle campaign the explain-gate replays."""
+    """The tiny/6.8 oracle campaign the CI ``explain`` gate replays."""
     kernel = build_kernel("6.8", seed=1, size="tiny")
     config = fuzz_campaign_config(0.5, 0, 100)
     loop = build_fuzz_loop(
@@ -101,14 +100,12 @@ def test_bench_pr9_provenance_gate(benchmark):
     fleet_shares = _phase_shares(cluster.workers[0].loop.clock)
 
     metrics = {
-        # Direction-tagged: losing attribution coverage is a regression.
         "bench.provenance.bugs_attributed_fraction": round(bugs_complete, 4),
         "bench.provenance.edges_attributed_fraction": round(
             edge_fraction, 4
         ),
         # A cost-model check: virtual executions per virtual second, a
-        # pure function of the seed (tagged lower-is-worse via the
-        # execs_per_vsecond key).  Host speed is measured by bench/.
+        # pure function of the seed.  Host speed is measured by bench/.
         "bench.provenance.execs_per_vsecond": round(execs_per_vsecond, 4),
         "bench.provenance.entries": float(len(log.records)),
         "bench.provenance.bugs": float(len(bug_chains)),
