@@ -687,6 +687,13 @@ class PatchDirector:
     yielding comparable time-to-target numbers.
     """
 
+    # Share of the loop's mutations the director proposes
+    # (``SnowplowLoop`` reads it), chance of planting the target call
+    # when the base test already has it, and cap on steered paths.
+    directed_share = 0.5
+    insert_prob = 0.35
+    max_forced_paths = 6
+
     def __init__(
         self,
         kernel: Kernel,
@@ -694,17 +701,11 @@ class PatchDirector:
         oracle: DependencyOracle | None = None,
         observer=None,
         observe_only: bool = False,
-        directed_share: float = 0.5,
-        insert_prob: float = 0.35,
-        max_forced_paths: int = 6,
     ):
         self.kernel = kernel
         self.manifest = manifest
         self.oracle = oracle if oracle is not None else DependencyOracle(kernel)
         self.observe_only = observe_only
-        self.directed_share = directed_share
-        self.insert_prob = insert_prob
-        self.max_forced_paths = max_forced_paths
         self._registry = observer.registry if observer is not None else None
         self.targets: tuple[int, ...] = manifest.fuzzable_blocks()
         self.pending: set[int] = set(self.targets)

@@ -254,12 +254,6 @@ class PathState:
     slots: tuple[tuple[tuple[str, tuple[int, ...]], AbstractValue], ...] = ()
     flags: tuple[tuple[str, FlagRequirement], ...] = ()
 
-    def slot_map(self) -> dict[tuple[str, tuple[int, ...]], AbstractValue]:
-        return dict(self.slots)
-
-    def flag_map(self) -> dict[str, FlagRequirement]:
-        return dict(self.flags)
-
     def refine_arg(self, condition: ArgCondition, taken: bool) -> "PathState | None":
         key = (condition.syscall, condition.path_elements)
         current = dict(self.slots)

@@ -47,10 +47,9 @@ class ClusterConfig:
     # Corpus-hub shards; >1 builds a ShardedHub with failover.
     shards: int = 1
     # Heartbeat liveness: a worker whose last progress is older than
-    # this is declared dead and restarted.  None disables supervision.
+    # this is declared dead and restarted; the supervisor checks every
+    # half deadline.  None disables supervision.
     heartbeat_deadline: float | None = None
-    # Supervisor check cadence; None defaults to half the deadline.
-    supervise_interval: float | None = None
     # Failed hub sync rounds tolerated (per partition) before the push
     # batch is dropped with ``hub.dropped_entries`` accounting.
     max_sync_retries: int = 2
@@ -68,11 +67,6 @@ class ClusterConfig:
             raise ValueError(
                 f"heartbeat_deadline must be positive, got "
                 f"{self.heartbeat_deadline}"
-            )
-        if self.supervise_interval is not None and self.supervise_interval <= 0:
-            raise ValueError(
-                f"supervise_interval must be positive, got "
-                f"{self.supervise_interval}"
             )
         if self.max_sync_retries < 0:
             raise ValueError(

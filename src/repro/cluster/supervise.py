@@ -43,7 +43,6 @@ class FleetSupervisor:
         loop_factory,
         run_seed: int,
         heartbeat_deadline: float,
-        check_interval: float | None = None,
         injector=None,
         observer=None,
     ):
@@ -57,14 +56,7 @@ class FleetSupervisor:
         self.loop_factory = loop_factory
         self.run_seed = run_seed
         self.heartbeat_deadline = heartbeat_deadline
-        self.check_interval = (
-            check_interval if check_interval is not None
-            else heartbeat_deadline / 2.0
-        )
-        if self.check_interval <= 0:
-            raise SupervisionError(
-                f"check_interval must be positive, got {self.check_interval}"
-            )
+        self.check_interval = heartbeat_deadline / 2.0
         self.injector = injector
         self.observer = observer
         self.next_check = self.check_interval

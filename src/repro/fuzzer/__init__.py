@@ -19,9 +19,6 @@ from repro.fuzzer.engine import MutationEngine, TypeSelector
 from repro.fuzzer.loop import FuzzLoop, FuzzObservation, FuzzStats
 from repro.fuzzer.crash import CrashTriage, TriagedCrash
 from repro.fuzzer.directed import DirectedFuzzer, DirectedResult
-from repro.fuzzer.distill import DistilledCorpus, distill_corpus
-from repro.fuzzer.api import FuzzReport, fuzz_corpus
-from repro.fuzzer.stats import MutationYield, YieldProbe
 
 __all__ = [
     "ArgumentInstantiator",
@@ -30,18 +27,12 @@ __all__ = [
     "CrashTriage",
     "DirectedFuzzer",
     "DirectedResult",
-    "DistilledCorpus",
-    "FuzzReport",
-    "distill_corpus",
-    "fuzz_corpus",
     "FuzzLoop",
     "FuzzObservation",
     "FuzzStats",
     "Localizer",
     "MutationEngine",
     "MutationType",
-    "MutationYield",
-    "YieldProbe",
     "RandomLocalizer",
     "SyzkallerLocalizer",
     "TriagedCrash",

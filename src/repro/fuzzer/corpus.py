@@ -81,7 +81,3 @@ class Corpus:
         entry = self.entries[int(rng.choice(len(self.entries), p=weights))]
         entry.picked += 1
         return entry
-
-    def total_signal(self) -> int:
-        """Sum of admission signals (diagnostics)."""
-        return sum(entry.signal for entry in self.entries)

@@ -41,6 +41,9 @@ __all__ = [
     "plant_target_call",
 ]
 
+# Chance of planting the target call even when the base test has one.
+_INSERT_TARGET_PROB = 0.3
+
 
 def plant_target_call(
     program: Program,
@@ -171,7 +174,6 @@ class DirectedFuzzer:
         clock: VirtualClock,
         cost: CostModel,
         rng: np.random.Generator,
-        insert_target_prob: float = 0.3,
         # Extra per-mutation cost (virtual s), e.g. amortized inference
         # for a learned localizer; reproduces Table 5's slight slowdowns
         # on trivial targets.
@@ -188,7 +190,6 @@ class DirectedFuzzer:
         self.clock = clock
         self.cost = cost
         self.rng = rng
-        self.insert_target_prob = insert_target_prob
         self.mutation_overhead = mutation_overhead
         self.instantiator = ArgumentInstantiator(generator, rng)
         self.distance = kernel.target_distances([target_block])
@@ -266,7 +267,7 @@ class DirectedFuzzer:
             call.spec.full_name == self.target_syscall
             for call in mutated.calls
         )
-        if not has_target_call or self.rng.random() < self.insert_target_prob:
+        if not has_target_call or self.rng.random() < _INSERT_TARGET_PROB:
             self._insert_target_call(mutated)
             return mutated
         paths = self.localizer.localize(

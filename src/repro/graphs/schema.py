@@ -79,9 +79,6 @@ class QueryGraph:
             if node.kind is kind
         ]
 
-    def argument_nodes(self) -> list[int]:
-        return self.node_indices(NodeKind.ARG)
-
     def mutable_argument_nodes(self) -> list[int]:
         return [
             index for index, node in enumerate(self.nodes)
@@ -93,12 +90,6 @@ class QueryGraph:
             index for index, node in enumerate(self.nodes)
             if node.kind is NodeKind.ALTERNATIVE and node.target
         ]
-
-    def arg_node_for_path(self, path: ArgPath) -> int | None:
-        for index, node in enumerate(self.nodes):
-            if node.kind is NodeKind.ARG and node.arg_path == path:
-                return index
-        return None
 
     def edge_count_by_kind(self) -> dict[EdgeKind, int]:
         counts: dict[EdgeKind, int] = {}

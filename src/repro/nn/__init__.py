@@ -16,11 +16,10 @@ from repro.nn.modules import (
     Linear,
     Module,
     MultiHeadSelfAttention,
-    Sequential,
     TransformerEncoderLayer,
 )
 from repro.nn.optim import SGD, Adam
-from repro.nn.init import kaiming_uniform, normal_init, xavier_uniform
+from repro.nn.init import normal_init, xavier_uniform
 
 __all__ = [
     "Adam",
@@ -30,11 +29,9 @@ __all__ = [
     "Module",
     "MultiHeadSelfAttention",
     "SGD",
-    "Sequential",
     "Tensor",
     "TransformerEncoderLayer",
     "concat",
-    "kaiming_uniform",
     "normal_init",
     "scatter_add",
     "stack",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "normal_init"]
+__all__ = ["xavier_uniform", "normal_init"]
 
 
 def xavier_uniform(
@@ -14,14 +14,6 @@ def xavier_uniform(
     """Glorot/Xavier uniform initialisation."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     shape = shape or (fan_in, fan_out)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_uniform(
-    rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]
-) -> np.ndarray:
-    """He/Kaiming uniform initialisation (ReLU gain)."""
-    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -15,7 +15,6 @@ __all__ = [
     "LayerNorm",
     "MultiHeadSelfAttention",
     "TransformerEncoderLayer",
-    "Sequential",
 ]
 
 
@@ -35,9 +34,6 @@ class Module:
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(parameter.data.size for parameter in self.parameters())
 
     # State (de)serialisation for checkpointing.
 
@@ -180,16 +176,4 @@ class TransformerEncoderLayer(Module):
     def __call__(self, x: Tensor, pad_mask: np.ndarray | None = None) -> Tensor:
         x = x + self.attention(self.norm1(x), pad_mask)
         x = x + self.ffn_out(self.ffn_in(self.norm2(x)).relu())
-        return x
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module):
-        self.modules = list(modules)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
         return x

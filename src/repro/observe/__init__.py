@@ -4,8 +4,7 @@ One :class:`Observer` rides along with a campaign and bundles the three
 instruments the stack shares:
 
 - ``observer.registry`` — the :class:`MetricsRegistry` every stats view
-  (``FuzzStats``, ``InferenceStats``, ``HubStats``, ``YieldProbe``)
-  emits through;
+  (``FuzzStats``, ``InferenceStats``, ``HubStats``) emits through;
 - ``observer.tracer`` — hierarchical virtual-time spans
   (campaign → worker → iteration → mutate/exec/inference/triage/
   hub_sync/checkpoint) with instants for faults, breaker trips, and

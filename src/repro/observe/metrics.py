@@ -3,9 +3,9 @@
 Every number the fuzzing/serving stack reports flows through a
 :class:`MetricsRegistry`.  The registry is the single source of truth —
 the public stats dataclass-style views (``FuzzStats``,
-``InferenceStats``, ``HubStats``, ``YieldProbe``) are thin reads over
-registry series — and it is built for the same property the rest of the
-reproduction has: **bit-reproducibility**.  Same seed, same series,
+``InferenceStats``, ``HubStats``) are thin reads over registry series —
+and it is built for the same property the rest of the reproduction has:
+**bit-reproducibility**.  Same seed, same series,
 byte-identical snapshots; a registry restored from a checkpoint
 continues exactly where the captured one stopped.
 

@@ -216,11 +216,6 @@ class ProvenanceLog:
         out.reverse()
         return out
 
-    def root_of(self, entry_id: str) -> str | None:
-        """The seed ancestor of ``entry_id`` (itself if parentless)."""
-        chain = self.chain(entry_id)
-        return chain[0].entry_id if chain else None
-
     def summary(self) -> dict:
         """The cheap headline numbers (service endpoints, reports)."""
         return {

@@ -162,10 +162,6 @@ class InferenceStats(CounterView):
         return self._queue_delay.p95
 
     @property
-    def p99_queue_delay(self) -> float:
-        return self._queue_delay.p99
-
-    @property
     def max_queue_delay(self) -> float:
         return self._queue_delay.vmax
 

@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from repro.errors import ReproError
 from repro.observe import TimeSeriesStore
-from repro.service.orchestrator import (
-    DONE,
-    Orchestrator,
-    SubmitError,
-)
+from repro.service.orchestrator import Orchestrator, SubmitError
 from repro.service.routes import Request, Response, match
 from repro.service.session_manager import Quota, QuotaError, SessionManager
 from repro.service.specs import CampaignSpec, SpecError
@@ -280,8 +276,3 @@ class ServiceServer:
     def restore(self, state: dict) -> None:
         self.sessions.restore(state["sessions"])
         self.orchestrator.restore(state["orchestrator"])
-
-    # ----- convenience (what most in-process callers want) -----
-
-    def completed_jobs(self) -> list:
-        return self.orchestrator.in_state(DONE)

@@ -767,7 +767,6 @@ def build_cluster(
             workers, hub, loop_factory,
             run_seed=run_seed,
             heartbeat_deadline=cluster_config.heartbeat_deadline,
-            check_interval=cluster_config.supervise_interval,
             injector=injector,
             observer=observer,
         )

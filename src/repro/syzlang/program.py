@@ -61,9 +61,6 @@ class ArgPath:
     call_index: int
     elements: tuple[int, ...]
 
-    def with_call(self, call_index: int) -> "ArgPath":
-        return ArgPath(call_index, self.elements)
-
     def __str__(self) -> str:
         trail = ".".join(str(element) for element in self.elements)
         return f"call{self.call_index}:{trail}"

@@ -1,4 +1,4 @@
-"""Tests for checkpointing, corpus distillation, the Fig. 1 API, and CLI."""
+"""Tests for PMM checkpoint save/load and the basic CLI commands."""
 
 import json
 import re
@@ -6,10 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.errors import CampaignError, ModelError
-from repro.fuzzer.api import FuzzReport, fuzz_corpus
-from repro.fuzzer.distill import distill_corpus
-from repro.fuzzer.mutations import ArgumentInstantiator, MutationType
+from repro.errors import ModelError
 from repro.graphs import AsmVocab, GraphEncoder, build_query_graph
 from repro.kernel import Executor, build_kernel
 from repro.pmm import PMM, PMMConfig
@@ -124,108 +121,6 @@ class TestCheckpoint:
                 np.savez_compressed(handle, **arrays)
         with pytest.raises(ModelError, match=re.escape(str(path))):
             load_pmm(path, kernel.table)
-
-
-class TestDistill:
-    def test_distilled_preserves_total_coverage(self, kernel):
-        generator = ProgramGenerator(kernel.table, make_rng(10))
-        executor = Executor(kernel)
-        corpus = generator.seed_corpus(40)
-        distilled = distill_corpus(corpus, executor)
-        union = set()
-        for coverage in distilled.coverages:
-            union |= coverage.edges
-        assert len(union) == distilled.total_edges
-        # Re-executing everything must not find coverage distillation lost.
-        full = set()
-        for program in corpus:
-            result = executor.run(program)
-            if not result.crashed:
-                full |= result.coverage.edges
-        assert union == full
-
-    def test_distillation_reduces(self, kernel):
-        generator = ProgramGenerator(kernel.table, make_rng(11))
-        executor = Executor(kernel)
-        corpus = generator.seed_corpus(60)
-        distilled = distill_corpus(corpus, executor)
-        assert len(distilled.programs) < len(corpus)
-        assert distilled.reduction > 0
-
-    def test_budget_respected(self, kernel):
-        generator = ProgramGenerator(kernel.table, make_rng(12))
-        executor = Executor(kernel)
-        corpus = generator.seed_corpus(30)
-        distilled = distill_corpus(corpus, executor, max_programs=5)
-        assert len(distilled.programs) <= 5
-
-    def test_greedy_keeps_best_first(self, kernel):
-        generator = ProgramGenerator(kernel.table, make_rng(13))
-        executor = Executor(kernel)
-        corpus = generator.seed_corpus(20)
-        one = distill_corpus(corpus, executor, max_programs=1)
-        best = max(
-            len(executor.run(p).coverage.edges)
-            for p in corpus
-            if not executor.run(p).crashed
-        )
-        assert one.total_edges == best
-
-
-class TestFigure1Api:
-    def _policies(self, kernel):
-        generator = ProgramGenerator(kernel.table, make_rng(20))
-        instantiator_impl = ArgumentInstantiator(generator, make_rng(21))
-
-        def choose_test(corpus, uncovered, covered, targets, rng):
-            return corpus[int(rng.integers(len(corpus)))], None
-
-        def selector(test, target, rng):
-            return MutationType.ARGUMENT_MUTATION
-
-        def localizer(test, target, m_type, rng):
-            sites = test.mutation_sites()
-            return [sites[int(rng.integers(len(sites)))]] if sites else []
-
-        def instantiator(program, target, m_type, paths, rng):
-            for path in paths:
-                instantiator_impl.instantiate(program, path)
-
-        return generator, choose_test, selector, localizer, instantiator
-
-    def test_fuzz_corpus_runs(self, kernel):
-        generator, choose, selector, localizer, inst = self._policies(kernel)
-        executor = Executor(kernel)
-        report = fuzz_corpus(
-            generator.seed_corpus(5), choose, selector, localizer, inst,
-            kernel, executor, make_rng(22), max_executions=100,
-        )
-        assert isinstance(report, FuzzReport)
-        assert report.executions == 100
-        assert report.covered
-        assert len(report.corpus) >= 5
-
-    def test_directed_stops_on_target(self, kernel):
-        generator, choose, selector, localizer, inst = self._policies(kernel)
-        executor = Executor(kernel)
-        seeds = generator.seed_corpus(5)
-        baseline = executor.run(seeds[0]).coverage.blocks
-        target = next(iter(baseline))
-        report = fuzz_corpus(
-            seeds, choose, selector, localizer, inst,
-            kernel, executor, make_rng(23), targets={target},
-            max_executions=500,
-        )
-        assert target in report.targets_reached
-        assert report.executions < 500
-
-    def test_empty_corpus_rejected(self, kernel):
-        generator, choose, selector, localizer, inst = self._policies(kernel)
-        with pytest.raises(CampaignError):
-            fuzz_corpus(
-                [], choose, selector, localizer, inst,
-                kernel, Executor(kernel), make_rng(24),
-            )
 
 
 class TestCli:

@@ -11,7 +11,6 @@ from repro.nn import (
     Linear,
     MultiHeadSelfAttention,
     SGD,
-    Sequential,
     Tensor,
     TransformerEncoderLayer,
 )
@@ -128,7 +127,7 @@ class TestModule:
         assert len(Tied().parameters()) == 2
 
     def test_state_roundtrip(self):
-        net = Sequential(Linear(3, 4, make_rng(0)), Linear(4, 2, make_rng(1)))
+        net = TransformerEncoderLayer(4, 2, 8, make_rng(0))
         arrays = [a.copy() for a in net.state_arrays()]
         for parameter in net.parameters():
             parameter.data += 1.0

@@ -68,14 +68,17 @@ class TestAdaptiveBurstShare:
             entry.program.clone(), MutationType.ARGUMENT_MUTATION, []
         )
         before = loop._burst_yield
+        edges_before = len(loop.accumulated.edges)
         loop._active_burst = _Burst(
             program=entry.program, paths=[], remaining=1, targets=set()
         )
         loop._run_candidate(entry, outcome)
-        # EMA moved (up if the mutant found coverage, down otherwise)
-        # and the active burst was consumed.
+        # The EMA took exactly one step toward whether the mutant found
+        # new edges, and the active burst was consumed.
+        produced = float(len(loop.accumulated.edges) > edges_before)
+        decay = loop.snowplow_config.burst_yield_decay
         assert loop._active_burst is None
-        assert loop._burst_yield != before or True  # moved or equal-decay
+        assert loop._burst_yield == decay * before + (1.0 - decay) * produced
 
     def test_non_burst_mutations_leave_ema_alone(self, kernel, tiny_trained):
         from repro.fuzzer.engine import MutationOutcome
