@@ -69,6 +69,6 @@ def test_bench_fault_tolerance(benchmark, kernel_68, trained_68, tmp_path):
     assert faulted.inference_failures > 0
     assert faulted.corpus_write_retries > 0
     # ... and the campaign degraded gracefully (ISSUE acceptance: 15%).
-    assert result.degraded_gracefully(tolerance_pct=15.0), (
+    assert result.degraded_gracefully(), (
         f"degradation {result.degradation_pct:.1f}% exceeds 15%"
     )

@@ -80,7 +80,7 @@ def main() -> None:
     print(f"  faulted final edges     : {faulted.final_edges}")
     print(f"  ratio                   : {result.coverage_ratio:.3f} "
           f"({result.degradation_pct:.1f}% degradation)")
-    verdict = "yes" if result.degraded_gracefully(15.0) else "no"
+    verdict = "yes" if result.degraded_gracefully() else "no"
     print(f"  within 15% tolerance    : {verdict}")
 
 

@@ -335,11 +335,10 @@ class StaticOracleLocalizer:
     def __init__(
         self,
         kernel: Kernel,
-        oracle: DependencyOracle | None = None,
         max_paths: int | None = None,
     ):
         self.kernel = kernel
-        self.oracle = oracle if oracle is not None else DependencyOracle(kernel)
+        self.oracle = DependencyOracle(kernel)
         self.max_paths = max_paths
 
     def target_paths(self, program: Program, targets) -> list[ArgPath]:

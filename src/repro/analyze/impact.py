@@ -45,7 +45,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -568,14 +568,13 @@ class ImpactLintContext:
     manifest: TargetManifest
     old_kernel: Kernel
     new_kernel: Kernel
-    namespace: str = ""
 
     def finding(self, check, location: str, message: str) -> Finding:
         return Finding(
             check=check.name,
             severity=check.severity,
             scope="impact",
-            location=f"{self.namespace}{location}",
+            location=location,
             message=message,
         )
 
@@ -653,18 +652,15 @@ def run_impact_checks(
     old_kernel: Kernel,
     new_kernel: Kernel,
     observer=None,
-    checks: Iterable[str] | None = None,
-    namespace: str = "",
 ) -> list[Finding]:
-    """Run every (or the named) impact-scope checks; canonical order."""
+    """Run every impact-scope check; canonical order."""
     ctx = ImpactLintContext(
         report=report,
         manifest=manifest,
         old_kernel=old_kernel,
         new_kernel=new_kernel,
-        namespace=namespace,
     )
-    return _run("impact", ctx, observer, checks)
+    return _run("impact", ctx, observer)
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +694,12 @@ class PatchDirector:
         self,
         kernel: Kernel,
         manifest: TargetManifest,
-        oracle: DependencyOracle | None = None,
         observer=None,
         observe_only: bool = False,
     ):
         self.kernel = kernel
         self.manifest = manifest
-        self.oracle = oracle if oracle is not None else DependencyOracle(kernel)
+        self.oracle = DependencyOracle(kernel)
         self.observe_only = observe_only
         self._registry = observer.registry if observer is not None else None
         self.targets: tuple[int, ...] = manifest.fuzzable_blocks()

@@ -196,7 +196,6 @@ class CorpusLintContext:
     programs: list[Program]
     reach: ReachabilityAnalysis
     oracle: DependencyOracle
-    namespace: str = ""
 
     def finding(
         self, check: Check, program: int, call: int, message: str
@@ -205,7 +204,7 @@ class CorpusLintContext:
             check=check.name,
             severity=check.severity,
             scope="corpus",
-            location=f"{self.namespace}program/{program}/call/{call}",
+            location=f"program/{program}/call/{call}",
             message=message,
         )
 
@@ -602,45 +601,36 @@ def run_kernel_checks(
     reach: ReachabilityAnalysis | None = None,
     oracle: DependencyOracle | None = None,
     observer=None,
-    checks: Iterable[str] | None = None,
     namespace: str = "",
 ) -> list[Finding]:
-    """Run every (or the named) kernel-scope checks; canonical order."""
+    """Run every kernel-scope check; canonical order."""
     ctx = KernelLintContext(
         kernel=kernel,
         reach=reach if reach is not None else ReachabilityAnalysis(kernel),
         oracle=oracle if oracle is not None else DependencyOracle(kernel),
         namespace=namespace,
     )
-    return _run("kernel", ctx, observer, checks)
+    return _run("kernel", ctx, observer)
 
 
 def run_corpus_checks(
     kernel: Kernel,
     programs: list[Program],
-    reach: ReachabilityAnalysis | None = None,
-    oracle: DependencyOracle | None = None,
     observer=None,
-    checks: Iterable[str] | None = None,
-    namespace: str = "",
 ) -> list[Finding]:
-    """Run every (or the named) corpus-scope checks; canonical order."""
+    """Run every corpus-scope check; canonical order."""
     ctx = CorpusLintContext(
         kernel=kernel,
         programs=list(programs),
-        reach=reach if reach is not None else ReachabilityAnalysis(kernel),
-        oracle=oracle if oracle is not None else DependencyOracle(kernel),
-        namespace=namespace,
+        reach=ReachabilityAnalysis(kernel),
+        oracle=DependencyOracle(kernel),
     )
-    return _run("corpus", ctx, observer, checks)
+    return _run("corpus", ctx, observer)
 
 
-def _run(scope: str, ctx, observer, checks: Iterable[str] | None):
-    wanted = set(checks) if checks is not None else None
+def _run(scope: str, ctx, observer) -> list[Finding]:
     findings: list[Finding] = []
     for check in registered_checks(scope):
-        if wanted is not None and check.name not in wanted:
-            continue
         produced = list(check.fn(ctx))
         findings.extend(produced)
         if observer is not None:

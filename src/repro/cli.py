@@ -38,7 +38,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.errors import ModelError
+from repro.errors import ReproError
 from repro.kernel import KNOWN_SIZES, Executor, build_kernel
 from repro.observe import (
     Observer,
@@ -81,7 +81,11 @@ from repro.snowplow import (
     scaling_json,
     train_pmm,
 )
-from repro.snowplow.campaign import TrainedPMM, campaign_seeds
+from repro.snowplow.campaign import (
+    TrainedPMM,
+    campaign_seeds,
+    check_campaign_shape,
+)
 from repro.syzlang import parse_program, serialize_program
 
 __all__ = ["main"]
@@ -251,17 +255,6 @@ def _floor_gate(args, checks, what: str) -> int:
     return _gate(args, failures, f"{len(failures)} {what} floor(s) violated")
 
 
-def _bad_fleet_args(args) -> bool:
-    """Report a non-positive ``--workers``/``--shards`` on stderr."""
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return True
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_build_kernel(args) -> int:
     kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
     print(f"kernel {kernel.version}: {kernel.block_count} blocks, "
@@ -295,21 +288,19 @@ def _missing_model(args) -> bool:
 
 
 def _trained(args, kernel) -> TrainedPMM | None:
-    """The ``--model`` PMM, or None for --baseline/--oracle.
-
-    A checkpoint that does not load ends the command: one ``error:``
-    line and exit status 2, like any other bad flag value.
-    """
+    """The ``--model`` PMM, or None for --baseline/--oracle."""
     if args.baseline or args.oracle:
         return None
-    try:
-        return TrainedPMM.load(args.model, kernel.table)
-    except ModelError as error:
-        print(f"error: {error}", file=sys.stderr)
-        raise SystemExit(2) from None
+    return TrainedPMM.load(args.model, kernel.table)
 
 
-def _fuzz_config(args) -> CampaignConfig:
+def _fuzz_config(args, version: str) -> CampaignConfig:
+    """The campaign flags as a config, once their shape is checked
+    against ``version``, the release the command fuzzes."""
+    check_campaign_shape(
+        version, args.hours, args.seed_corpus, args.workers, args.shards,
+        args.batch_size,
+    )
     return fuzz_campaign_config(
         args.hours, args.seed, args.seed_corpus, args.batch_size
     )
@@ -348,13 +339,9 @@ def _cmd_fuzz(args) -> int:
             print("--directed runs single-worker; drop --workers",
                   file=sys.stderr)
             return 2
-    kernel = build_kernel(
-        directed_versions[1] if directed_versions else args.kernel,
-        seed=args.kernel_seed, size=args.size,
-    )
-    if _bad_fleet_args(args):
-        return 2
-    config = _fuzz_config(args)
+    version = directed_versions[1] if directed_versions else args.kernel
+    config = _fuzz_config(args, version)
+    kernel = build_kernel(version, seed=args.kernel_seed, size=args.size)
     run_seed = fuzz_run_seed(args.seed, kernel.version)
     if _missing_model(args):
         return 2
@@ -448,9 +435,10 @@ def _finish_fuzz(args, stats, observer) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    config = _fuzz_config(args, args.kernel)
     kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
     if args.mode == "chaos":
-        return _cmd_cluster_chaos(args, kernel)
+        return _cmd_cluster_chaos(args, kernel, config)
     try:
         counts = tuple(
             int(piece) for piece in args.worker_counts.split(",") if piece
@@ -460,7 +448,6 @@ def _cmd_cluster(args) -> int:
     if not counts or min(counts) < 1:
         print(f"bad --worker-counts {args.worker_counts!r}", file=sys.stderr)
         return 2
-    config = _fuzz_config(args)
     if _missing_model(args):
         return 2
     result = run_scaling_campaign(
@@ -486,12 +473,9 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_cluster_chaos(args, kernel) -> int:
+def _cmd_cluster_chaos(args, kernel, config) -> int:
     """The chaos gate: one supervised fleet under the seeded fault plan,
     exiting non-zero unless every robustness invariant holds."""
-    if _bad_fleet_args(args):
-        return 2
-    config = _fuzz_config(args)
     if _missing_model(args):
         return 2
     deadline = (
@@ -1503,9 +1487,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  A library error or an unreadable input ends it
+    with one ``error:`` line on stderr and exit status 2, like a bad
+    flag value."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

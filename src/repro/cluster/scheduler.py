@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+# Failed hub sync rounds tolerated (per partition) before the push batch
+# is dropped with ``hub.dropped_entries`` accounting.
+MAX_SYNC_RETRIES = 2
+
+
 @dataclass
 class ClusterConfig:
     """Fleet-shape knobs of a cluster campaign."""
@@ -42,17 +47,12 @@ class ClusterConfig:
     # under the scaled cost model — syz-hub managers poll on the order
     # of minutes, not per-execution).
     sync_interval: float = 600.0
-    # Cost charged per sync round-trip; None uses ``CostModel.hub_sync``.
-    sync_cost: float | None = None
     # Corpus-hub shards; >1 builds a ShardedHub with failover.
     shards: int = 1
     # Heartbeat liveness: a worker whose last progress is older than
     # this is declared dead and restarted; the supervisor checks every
     # half deadline.  None disables supervision.
     heartbeat_deadline: float | None = None
-    # Failed hub sync rounds tolerated (per partition) before the push
-    # batch is dropped with ``hub.dropped_entries`` accounting.
-    max_sync_retries: int = 2
 
     def __post_init__(self):
         if self.workers < 1:
@@ -68,10 +68,6 @@ class ClusterConfig:
                 f"heartbeat_deadline must be positive, got "
                 f"{self.heartbeat_deadline}"
             )
-        if self.max_sync_retries < 0:
-            raise ValueError(
-                f"max_sync_retries must be >= 0, got {self.max_sync_retries}"
-            )
 
 
 class ClusterWorker:
@@ -83,17 +79,12 @@ class ClusterWorker:
         loop: FuzzLoop,
         hub: CorpusHub,
         sync_interval: float = 600.0,
-        sync_cost: float | None = None,
         injector=None,
-        max_sync_retries: int = 2,
     ):
         self.worker_id = worker_id
         self.loop = loop
         self.hub = hub
         self.sync_interval = sync_interval
-        self.sync_cost = (
-            sync_cost if sync_cost is not None else loop.cost.hub_sync
-        )
         self.next_sync = sync_interval
         # Hub epoch of the last pull; pulls are incremental on this.
         self.sync_epoch = 0
@@ -102,7 +93,6 @@ class ClusterWorker:
         self._synced_entries = 0
         # Cluster-level fault state (see repro.faults site table).
         self.injector = injector
-        self.max_sync_retries = max_sync_retries
         self.killed = False
         # Incarnation number; bumped by the supervisor on each restart.
         self.generation = 0
@@ -195,7 +185,7 @@ class ClusterWorker:
             loop.stats.hub_syncs += 1
             loop.stats.hub_pushed += accepted
             loop.stats.hub_pulled += len(pulled)
-            loop.clock.advance(self.sync_cost, "hub_sync")
+            loop.clock.advance(loop.cost.hub_sync, "hub_sync")
         if loop.observer is not None:
             # Fleet-union coverage as a gauge: the scaling claim is a
             # trajectory, so the time-series needs it, not just the
@@ -218,7 +208,7 @@ class ClusterWorker:
         """A sync round-trip that cannot reach the hub.
 
         The worker still pays the round-trip cost (it tried), counts
-        the failure, and after ``max_sync_retries`` consecutive failed
+        the failure, and after ``MAX_SYNC_RETRIES`` consecutive failed
         rounds drops the pending push batch — visibly, through the
         ``hub.dropped_entries`` counter and a tracer instant, never
         silently.  Dropped entries are remembered and re-offered at
@@ -228,8 +218,8 @@ class ClusterWorker:
         self._sync_failures += 1
         self.hub.stats.sync_failures += 1
         with loop._section("loop.hub_sync"):
-            loop.clock.advance(self.sync_cost, "hub_sync")
-        if self._sync_failures > self.max_sync_retries:
+            loop.clock.advance(loop.cost.hub_sync, "hub_sync")
+        if self._sync_failures > MAX_SYNC_RETRIES:
             fresh = list(
                 range(self._synced_entries, len(loop.corpus.entries))
             )

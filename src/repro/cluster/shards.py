@@ -52,6 +52,12 @@ def signature_digest(signature) -> int:
     return int.from_bytes(raw, "big")
 
 
+# Bloom filter shape: bit count, and hash count (one 16-bit slice of the
+# 64-bit digest each, so at most four).
+BLOOM_BITS = 4096
+BLOOM_HASHES = 3
+
+
 class BloomFilter:
     """A tiny deterministic bloom filter over signature digests.
 
@@ -62,16 +68,12 @@ class BloomFilter:
     the surviving signatures.
     """
 
-    def __init__(self, bits: int = 4096, hashes: int = 3):
-        if bits < 8 or hashes < 1 or hashes * 16 > 64:
-            raise ValueError(f"bad bloom shape: bits={bits} hashes={hashes}")
-        self.bits = bits
-        self.hashes = hashes
+    def __init__(self):
         self._mask = 0
 
     def _positions(self, digest: int):
-        for i in range(self.hashes):
-            yield (digest >> (16 * i)) % self.bits
+        for i in range(BLOOM_HASHES):
+            yield (digest >> (16 * i)) % BLOOM_BITS
 
     def add(self, digest: int) -> None:
         for position in self._positions(digest):

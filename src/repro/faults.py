@@ -109,9 +109,9 @@ class FaultPlan:
                 )
 
     @classmethod
-    def none(cls, seed: int = 0) -> "FaultPlan":
+    def none(cls) -> "FaultPlan":
         """The empty plan (nothing ever fails)."""
-        return cls(seed=seed)
+        return cls()
 
     def with_window(self, site: str, start: float, end: float) -> "FaultPlan":
         """A copy with one more outage window."""

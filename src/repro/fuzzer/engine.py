@@ -86,7 +86,6 @@ class MutationEngine:
         self,
         base: Program,
         base_coverage: Coverage | None = None,
-        targets: set[int] | None = None,
         forced_paths: list[ArgPath] | None = None,
         hints: frozenset[int] | None = None,
     ) -> MutationOutcome:
@@ -107,10 +106,10 @@ class MutationEngine:
             return MutationOutcome(
                 mutated, MutationType.ARGUMENT_MUTATION, applied
             )
-        m_type = self.selector.select(mutated, targets, self.rng)
+        m_type = self.selector.select(mutated, None, self.rng)
         if m_type is MutationType.ARGUMENT_MUTATION:
             paths = self.localizer.localize(
-                mutated, base_coverage, targets, self.rng
+                mutated, base_coverage, None, self.rng
             )
             applied = self._apply_argument_mutations(mutated, paths, hints)
             return MutationOutcome(mutated, m_type, applied)

@@ -120,6 +120,16 @@ class BugPlan:
     syscall: str | None = None
 
 
+# Probability that a segment branches on kernel state instead of an
+# argument.
+STATE_COND_PROB = 0.18
+# Fraction of handlers regenerated with a version-salted seed for
+# releases after the base one (API churn between releases).
+PERTURB_FRACTION = 0.15
+# Blocks of the interrupt pseudo-handler (noise source, §3.1).
+INTERRUPT_BLOCKS = 12
+
+
 @dataclass
 class KernelConfig:
     """Size/shape knobs for kernel generation."""
@@ -132,16 +142,8 @@ class KernelConfig:
     nest_depth: int = 2
     # Length range of straight-line body runs.
     run_length: tuple[int, int] = (1, 3)
-    # Probability that a segment branches on kernel state instead of an
-    # argument.
-    state_cond_prob: float = 0.18
-    # Fraction of handlers regenerated with a version-salted seed for
-    # releases after the base one (API churn between releases).
-    perturb_fraction: float = 0.15
     bug_plans: tuple[BugPlan, ...] = ()
     plant_ata_bug: bool = True
-    # Blocks of the interrupt pseudo-handler (noise source, §3.1).
-    interrupt_blocks: int = 12
 
 
 @dataclass
@@ -341,12 +343,12 @@ class KernelBuilder:
         segment_count = int(rng.integers(segment_lo, segment_hi + 1))
         for segment in range(segment_count):
             roll = rng.random()
-            if arg_paths and roll >= self.config.state_cond_prob:
+            if arg_paths and roll >= STATE_COND_PROB:
                 next_id = self._arg_condition_segment(
                     cfg, spec, rng, arg_paths, next_id, error_exit, body,
                     nest=self.config.nest_depth,
                 )
-            elif roll < self.config.state_cond_prob:
+            elif roll < STATE_COND_PROB:
                 next_id = self._state_condition_segment(
                     cfg, spec, rng, next_id, error_exit, body
                 )
@@ -633,7 +635,7 @@ class KernelBuilder:
 
     def _build_interrupt_trace(self, rng: np.random.Generator) -> list[int]:
         trace: list[int] = []
-        for index in range(self.config.interrupt_blocks):
+        for index in range(INTERRUPT_BLOCKS):
             block_id = self._alloc(
                 f"irq:{index}", "irq", BlockRole.BODY,
                 self._body_asm(rng, "irq_timer"),
@@ -696,7 +698,7 @@ class KernelBuilder:
         version = self.config.version
         if version != "6.8":
             salt = split(self.config.seed, "perturb", spec.full_name, version)
-            if salt.random() < self.config.perturb_fraction:
+            if salt.random() < PERTURB_FRACTION:
                 return split(self.config.seed, "handler", spec.full_name, version)
         return split(self.config.seed, "handler", spec.full_name)
 

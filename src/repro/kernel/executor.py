@@ -149,19 +149,19 @@ class Executor:
         noise: float = 0.0,
         seed: int = 0,
         injector: FaultInjector | None = None,
-        watchdog: bool | None = None,
-        profiler=None,
     ):
         if not 0.0 <= noise <= 1.0:
             raise ExecutionError(f"noise must be in [0, 1], got {noise}")
         self.kernel = kernel
         self.noise = noise
         self.injector = injector
-        # Watchdog defaults on exactly when faults can be injected; a
-        # bare executor keeps raising so malformed CFGs stay loud.
-        self.watchdog = (injector is not None) if watchdog is None else watchdog
+        # The watchdog is on exactly when faults can be injected (a loop
+        # that attaches its injector later turns it on too); a bare
+        # executor keeps raising so malformed CFGs stay loud.
+        self.watchdog = injector is not None
         self.vm_restarts = 0
-        self.profiler = profiler
+        # An observed loop attaches its profiler here.
+        self.profiler = None
         self._rng = make_rng(seed)
         # Handler name -> (entry block, block id -> step), compiled on
         # first use.  Kernels are never mutated once built.

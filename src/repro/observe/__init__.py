@@ -159,13 +159,12 @@ class Observer:
         self,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        profiler: Profiler | None = None,
         timeseries: TimeSeriesStore | None = None,
         slo: SLOEngine | None = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.profiler = profiler if profiler is not None else Profiler()
+        self.profiler = Profiler()
         self.timeseries = (
             timeseries if timeseries is not None else TimeSeriesStore()
         )

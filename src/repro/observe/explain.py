@@ -165,13 +165,17 @@ def format_attribution(rows: list[dict]) -> str:
 
 # ----- coverage waterfall -----
 
+# Seed roots a coverage waterfall keeps.
+WATERFALL_ROWS = 20
 
-def coverage_waterfall(log: ProvenanceLog, top: int = 20) -> list[dict]:
+
+def coverage_waterfall(log: ProvenanceLog) -> list[dict]:
     """Which seed ancestors carry the campaign's coverage.
 
     Every attributed edge is charged to the chain *root* of its owning
     entry; rows report how many edges, owning descendants, and bugs
-    each root's subtree earned, deepest frontier included.
+    each root's subtree earned, deepest frontier included.  Only the
+    ``WATERFALL_ROWS`` biggest roots are kept.
     """
     per_root: dict[str, dict] = {}
 
@@ -207,7 +211,7 @@ def coverage_waterfall(log: ProvenanceLog, top: int = 20) -> list[dict]:
         for row in per_root.values()
     ]
     rows.sort(key=lambda row: (-row["edges"], -row["bugs"], row["root"]))
-    return rows[:top]
+    return rows[:WATERFALL_ROWS]
 
 
 def format_waterfall(rows: list[dict]) -> str:

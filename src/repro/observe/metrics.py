@@ -319,9 +319,9 @@ class MetricsRegistry:
                 out["counters"][instrument.key] = instrument.value
         return out
 
-    def to_json(self, full: bool = False) -> str:
+    def to_json(self) -> str:
         return json.dumps(
-            self.snapshot(full=full), sort_keys=True, separators=(",", ":")
+            self.snapshot(), sort_keys=True, separators=(",", ":")
         )
 
     # ----- checkpointing -----

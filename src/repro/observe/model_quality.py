@@ -6,7 +6,7 @@ its predictions.  For every inference result that becomes a mutation
 burst the tracker records, at burst retirement:
 
 - ``predicted`` — the ≤ k target blocks the query asked the model to
-  reach (k = ``SnowplowConfig.max_targets``);
+  reach (k = ``repro.snowplow.fuzzer.MAX_TARGETS``);
 - ``hit`` — the subset of those targets the burst's own mutations
   covered (credited only on executions where global block coverage
   grew, so hits reached first by other workers don't count);

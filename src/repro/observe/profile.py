@@ -56,10 +56,9 @@ class Profiler:
             for name, entry in sorted(self._sections.items())
         }
 
-    def publish(
-        self, registry, prefix: str = "profile.", diagnostic: bool = False
-    ) -> None:
-        """Mirror the deterministic (virtual) side into registry gauges.
+    def publish(self, registry, diagnostic: bool = False) -> None:
+        """Mirror the deterministic (virtual) side into ``profile.*``
+        registry gauges.
 
         Pass ``diagnostic=True`` when the profiler itself is not part of
         the checkpoint (the fuzz loop's continuous sampling): the gauges
@@ -68,10 +67,10 @@ class Profiler:
         """
         for name, (calls, _wall, virtual) in self.sections().items():
             registry.gauge(
-                f"{prefix}virtual", section=name, diagnostic=diagnostic
+                "profile.virtual", section=name, diagnostic=diagnostic
             ).set(virtual)
             registry.gauge(
-                f"{prefix}calls", section=name, diagnostic=diagnostic
+                "profile.calls", section=name, diagnostic=diagnostic
             ).set(calls)
 
     def report(self) -> str:

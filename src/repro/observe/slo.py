@@ -14,8 +14,8 @@ Rule semantics
   ``serve.queue_delay/p95 < 1800``) must hold at every sample.  An
   alert fires at the first violating sample of each violation episode;
   the rule re-arms once the objective holds again.
-- :class:`StallRule` — the series must make progress (increase by more
-  than ``min_delta``) at least once every ``window`` virtual seconds.
+- :class:`StallRule` — the series must make progress (increase at all)
+  at least once every ``window`` virtual seconds.
   The alert fires at the first sample whose distance from the last
   progress point reaches the window — the deterministic "no new
   coverage for N virtual seconds" detector.
@@ -133,12 +133,11 @@ class StallRule(_Rule):
     """Objective: the series increases at least every ``window`` seconds."""
 
     def __init__(self, name: str, series: str, window: float,
-                 min_delta: float = 0.0, severity: str = "warn"):
+                 severity: str = "warn"):
         super().__init__(name, series, severity)
         if window <= 0:
             raise ValueError("stall window must be positive")
         self.window = window
-        self.min_delta = min_delta
 
     def _evaluate(self, key, points):
         alerts = []
@@ -147,7 +146,7 @@ class StallRule(_Rule):
         last_progress_time, last_value = points[0]
         stalled = False
         for time, value in points[1:]:
-            if value > last_value + self.min_delta:
+            if value > last_value:
                 last_progress_time, last_value = time, value
                 stalled = False
             elif (not stalled
@@ -257,12 +256,13 @@ class SLOEngine:
             alerts.extend(rule.evaluate(store))
         return sorted(alerts)
 
-    def annotate(self, tracer, store, track: str = "alerts") -> list[Alert]:
-        """Evaluate and pin every alert to the trace as an instant."""
+    def annotate(self, tracer, store) -> list[Alert]:
+        """Evaluate and pin every alert to the trace as an instant on
+        the ``alerts`` track."""
         alerts = self.evaluate(store)
         for alert in alerts:
             tracer.instant(
-                track, alert.rule, alert.time, cat="alert",
+                "alerts", alert.rule, alert.time, cat="alert",
                 series=alert.series, value=alert.value,
                 threshold=alert.threshold, severity=alert.severity,
             )
@@ -275,8 +275,7 @@ class SLOEngine:
 # virtual hour) stays quiet; campaigns long enough to plateau trip the
 # coverage-stall detector, which is the point.
 
-def default_fuzz_rules(stall_window: float = 3600.0,
-                       timeout_budget: float = 0.25) -> list[_Rule]:
+def default_fuzz_rules(stall_window: float = 3600.0) -> list[_Rule]:
     return [
         StallRule(
             "fuzz.coverage_stall", "fuzz.edges", window=stall_window,
@@ -284,49 +283,52 @@ def default_fuzz_rules(stall_window: float = 3600.0,
         ),
         BurnRateRule(
             "fuzz.exec_timeout_burn", "fuzz.exec_timeouts",
-            window=stall_window, budget=timeout_budget,
+            window=stall_window, budget=0.25,
             denominator="fuzz.executions", severity="critical",
         ),
     ]
 
 
-def default_serving_rules(queue_delay_p95: float = 1800.0,
-                          loss_budget: float = 0.5,
-                          trips_per_window: float = 4.0,
-                          window: float = 3600.0) -> list[_Rule]:
+def default_serving_rules() -> list[_Rule]:
     return [
         ThresholdRule(
             "serve.queue_delay_p95", "serve.queue_delay/p95",
-            op="<=", limit=queue_delay_p95, severity="warn",
+            op="<=", limit=1800.0, severity="warn",
         ),
         BurnRateRule(
             "serve.lost_batch_budget", "serve.failures",
-            window=window, budget=loss_budget,
+            window=3600.0, budget=0.5,
             denominator="serve.submitted", severity="critical",
         ),
         BurnRateRule(
             "serve.breaker_trip_budget", "serve.breaker_trips",
-            window=window, budget=trips_per_window, severity="warn",
+            window=3600.0, budget=4.0, severity="warn",
         ),
     ]
 
 
-def default_cluster_rules(sync_window: float = 3600.0,
-                          duplicate_budget: float = 0.95) -> list[_Rule]:
+def default_cluster_rules() -> list[_Rule]:
     return [
         StallRule(
             "cluster.hub_sync_stall", "fuzz.hub_syncs",
-            window=sync_window, severity="warn",
+            window=3600.0, severity="warn",
         ),
         BurnRateRule(
             "cluster.hub_duplicate_share", "hub.duplicates",
-            window=sync_window, budget=duplicate_budget,
+            window=3600.0, budget=0.95,
             denominator="hub.pushes", severity="warn",
         ),
     ]
 
 
-def default_supervision_rules(coverage_floor_pct: float = 90.0) -> list[_Rule]:
+# The chaos gate's degradation bound: a faulted fleet's final coverage
+# stays within this many percent of the clean run's.  The supervision
+# pack's floor, ``ChaosCampaignResult.degraded_gracefully`` and the
+# ``format_chaos`` label all read it.
+CHAOS_DEGRADATION_PCT = 10.0
+
+
+def default_supervision_rules() -> list[_Rule]:
     """The chaos-gate invariants, phrased over the end-state ``chaos.*``
     gauges a :func:`~repro.snowplow.campaign.run_chaos_campaign` run
     publishes.  These gauges are sampled once, at the horizon, after the
@@ -343,7 +345,8 @@ def default_supervision_rules(coverage_floor_pct: float = 90.0) -> list[_Rule]:
         ),
         ThresholdRule(
             "chaos.graceful_degradation", "chaos.coverage_ratio_pct",
-            op=">=", limit=coverage_floor_pct, severity="critical",
+            op=">=", limit=100.0 - CHAOS_DEGRADATION_PCT,
+            severity="critical",
         ),
         ThresholdRule(
             "chaos.resume_determinism", "chaos.resume_identical",
@@ -352,14 +355,10 @@ def default_supervision_rules(coverage_floor_pct: float = 90.0) -> list[_Rule]:
     ]
 
 
-def default_rules(**overrides) -> list[_Rule]:
+def default_rules() -> list[_Rule]:
     """The full default pack: fuzz + serving + cluster."""
-    fuzz_kwargs = {
-        key: overrides[key] for key in ("stall_window", "timeout_budget")
-        if key in overrides
-    }
     return (
-        default_fuzz_rules(**fuzz_kwargs)
+        default_fuzz_rules()
         + default_serving_rules()
         + default_cluster_rules()
     )

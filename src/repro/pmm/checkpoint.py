@@ -65,7 +65,11 @@ def save_pmm(
 def _read_archive(path: Path) -> tuple[dict, list[np.ndarray]]:
     """The JSON header and the parameter arrays of checkpoint ``path``."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load opens a path itself and leaks the handle when the zip
+        # is bad; a handle we own is closed on every exit.
+        with open(path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as archive:
             header = json.loads(bytes(archive["header"]).decode())
             arrays = [
                 archive[key]

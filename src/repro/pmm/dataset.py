@@ -63,14 +63,18 @@ class MutationExample:
     labels: frozenset[ArgPath]
 
 
+# Popularity cap: examples kept per target block.
+MAX_EXAMPLES_PER_BLOCK = 40
+# Per-base-test split; the rest is the evaluation split.
+TRAIN_FRACTION = 0.8
+VALIDATION_FRACTION = 0.1
+
+
 @dataclass
 class DatasetConfig:
     """Pipeline knobs (paper values in comments)."""
 
     mutations_per_test: int = 200          # paper: 1000
-    max_examples_per_block: int = 40       # popularity cap
-    train_fraction: float = 0.8
-    validation_fraction: float = 0.1
     # §3.1 target construction: "noisy" is the paper's chosen option (c)
     # — frontier sampling at 1/25/50/75/100 % with forced overlap;
     # "exact" is the rejected option (a) — the target set is exactly the
@@ -265,9 +269,7 @@ def _build_examples(
                 sample, by_base[sample.base_index], coverage, kernel, rng
             )
         )
-    capped = _apply_popularity_cap(
-        all_examples, config.max_examples_per_block, rng
-    )
+    capped = _apply_popularity_cap(all_examples, MAX_EXAMPLES_PER_BLOCK, rng)
     _split_examples(dataset, capped, config)
 
 
@@ -296,14 +298,12 @@ def _split_examples(
     config: DatasetConfig,
 ) -> None:
     """Per-base-test split: all examples of a base land in one split."""
-    if not 0 < config.train_fraction < 1:
-        raise DatasetError("train_fraction must be in (0, 1)")
     rng = split(config.seed, "split")
     base_indices = sorted({example.base_index for example in examples})
     order = rng.permutation(len(base_indices))
     shuffled = [base_indices[int(i)] for i in order]
-    n_train = int(config.train_fraction * len(shuffled))
-    n_val = int(config.validation_fraction * len(shuffled))
+    n_train = int(TRAIN_FRACTION * len(shuffled))
+    n_val = int(VALIDATION_FRACTION * len(shuffled))
     train_bases = set(shuffled[:n_train])
     val_bases = set(shuffled[n_train : n_train + n_val])
     for example in examples:

@@ -24,13 +24,14 @@ from repro.rng import split
 __all__ = ["PretrainConfig", "masked_lm_pretrain"]
 
 _MASK_PROB = 0.15
+# Adam step size.
+LEARNING_RATE = 2e-3
 
 
 @dataclass
 class PretrainConfig:
     steps: int = 60
     batch_size: int = 32
-    learning_rate: float = 2e-3
     seed: int = 0
 
 
@@ -57,7 +58,7 @@ def masked_lm_pretrain(
     rng = split(config.seed, "mlm")
     head = MaskedLMHead(encoder, rng)
     optimizer = Adam(
-        encoder.parameters() + head.parameters(), lr=config.learning_rate
+        encoder.parameters() + head.parameters(), lr=LEARNING_RATE
     )
     losses: list[float] = []
     for _ in range(config.steps):

@@ -24,11 +24,16 @@ from repro.rng import split
 __all__ = ["TrainConfig", "Trainer"]
 
 
+# Adam step size.
+LEARNING_RATE = 2e-3
+# Decision thresholds the validation-F1 calibration tries.
+CALIBRATION_THRESHOLDS = (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7)
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 4
     batch_size: int = 8
-    learning_rate: float = 2e-3
     # Cap per-epoch examples to bound wall time; 0 = use everything.
     max_examples_per_epoch: int = 0
     # Validation subset size for per-epoch F1 (0 = all).
@@ -56,9 +61,7 @@ class Trainer:
     def __post_init__(self) -> None:
         if not self.dataset.train:
             raise ModelError("dataset has no training examples")
-        self._optimizer = Adam(
-            self.model.parameters(), lr=self.config.learning_rate
-        )
+        self._optimizer = Adam(self.model.parameters(), lr=LEARNING_RATE)
         self._best_f1 = -1.0
         self._best_state: list[np.ndarray] | None = None
         self.reports: list[EpochReport] = []
@@ -90,10 +93,7 @@ class Trainer:
         self.calibrate_threshold()
         return self.reports
 
-    def calibrate_threshold(
-        self, thresholds: tuple[float, ...] = (0.25, 0.3, 0.35, 0.4, 0.45,
-                                               0.5, 0.55, 0.6, 0.7),
-    ) -> float:
+    def calibrate_threshold(self) -> float:
         """Pick the decision threshold maximising validation F1.
 
         Logits are computed once per validation example and reused for
@@ -119,7 +119,7 @@ class Trainer:
             cached.append((probabilities, paths, set(example.labels)))
         best_threshold = self.model.decision_threshold
         best_f1 = -1.0
-        for threshold in thresholds:
+        for threshold in CALIBRATION_THRESHOLDS:
             f1_sum = 0.0
             for probabilities, paths, truth in cached:
                 predicted = {

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.errors import CampaignError
 from repro.kernel import KNOWN_SIZES
+from repro.snowplow.campaign import check_campaign_shape
 
 __all__ = ["CampaignSpec", "SPEC_FIELDS", "SpecError"]
 
@@ -63,16 +65,13 @@ class CampaignSpec:
             )
         if self.mode == "model" and not self.model:
             raise SpecError("mode 'model' needs a PMM checkpoint path")
-        if self.hours <= 0:
-            raise SpecError(f"hours must be > 0, got {self.hours}")
-        if self.workers < 1:
-            raise SpecError(f"workers must be >= 1, got {self.workers}")
-        if self.shards < 1:
-            raise SpecError(f"shards must be >= 1, got {self.shards}")
-        if self.seed_corpus < 1:
-            raise SpecError(
-                f"seed_corpus must be >= 1, got {self.seed_corpus}"
+        try:
+            check_campaign_shape(
+                self.kernel, self.hours, self.seed_corpus,
+                self.workers, self.shards, self.batch_size,
             )
+        except CampaignError as error:
+            raise SpecError(str(error)) from None
 
     @property
     def horizon(self) -> float:

@@ -38,6 +38,7 @@ from repro.cluster import (
     ShardedHub,
     SharedInferenceTier,
 )
+from repro.cluster.scheduler import MAX_SYNC_RETRIES
 from repro.errors import CampaignError
 from repro.faults import FaultInjector, FaultPlan
 from repro.fuzzer.crash import CrashTriage, TriagedCrash
@@ -50,6 +51,7 @@ from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.executor import Executor
 from repro.observe import Observer
+from repro.observe.slo import CHAOS_DEGRADATION_PCT
 from repro.pmm.checkpoint import load_pmm
 from repro.pmm.dataset import DatasetConfig, MutationDataset, harvest_mutations
 from repro.pmm.metrics import SelectorMetrics
@@ -72,6 +74,7 @@ from repro.snowplow.fuzzer import (
 from repro.syzlang.generator import ProgramGenerator
 from repro.syzlang.program import Program
 from repro.syzlang.spec import SyscallTable
+from repro.syzlang.stdlib import KNOWN_VERSIONS
 from repro.vclock import CostModel, VirtualClock
 
 __all__ = [
@@ -89,6 +92,7 @@ __all__ = [
     "build_loop",
     "campaign_seeds",
     "chaos_plan",
+    "check_campaign_shape",
     "fuzz_campaign_config",
     "fuzz_run_seed",
     "default_directed_targets",
@@ -105,6 +109,9 @@ __all__ = [
 
 HOUR = 3600.0
 DAY = 24 * HOUR
+# A fault-tolerance run degrades gracefully when its final coverage is
+# within this many percent of the fault-free run of the same seed.
+FAULT_DEGRADATION_PCT = 15.0
 
 
 def known_crash_signatures(kernel: Kernel) -> set[str]:
@@ -321,9 +328,7 @@ def build_loop(
         localizer = OracleLocalizer(kernel)
     else:
         localizer = PMMLocalizer(
-            trained.model, trained.encoder, kernel, executor,
-            max_targets=config.snowplow.max_targets,
-            threshold=config.snowplow.prediction_threshold,
+            trained.model, trained.encoder, kernel, executor
         )
     return SnowplowLoop(
         *parts, sample_interval=config.sample_interval,
@@ -368,6 +373,39 @@ def fuzz_campaign_config(
         sample_interval=max(hours * HOUR / 16.0, 60.0),
         snowplow=snowplow,
     )
+
+
+def check_campaign_shape(
+    kernel: str,
+    hours: float,
+    seed_corpus: int,
+    workers: int,
+    shards: int,
+    batch_size: int | None,
+) -> None:
+    """Raise :class:`CampaignError` unless a `repro fuzz` campaign of
+    this shape can run: a known kernel release, a positive horizon, a
+    non-empty seed corpus, at least one worker and hub shard, and a
+    batch size of at least 1 when one is given.
+
+    The one check behind both front doors: the CLI's campaign commands
+    and :class:`~repro.service.specs.CampaignSpec`, so a spec the
+    service accepts is one its jobs can build.
+    """
+    if kernel not in KNOWN_VERSIONS:
+        raise CampaignError(
+            f"unknown kernel {kernel!r} (known: {', '.join(KNOWN_VERSIONS)})"
+        )
+    if not hours > 0:
+        raise CampaignError(f"hours must be > 0, got {hours}")
+    if seed_corpus < 1:
+        raise CampaignError(f"seed corpus must be >= 1, got {seed_corpus}")
+    if workers < 1:
+        raise CampaignError(f"workers must be >= 1, got {workers}")
+    if shards < 1:
+        raise CampaignError(f"shards must be >= 1, got {shards}")
+    if batch_size is not None and batch_size < 1:
+        raise CampaignError(f"batch size must be >= 1, got {batch_size}")
 
 
 def build_fuzz_loop(
@@ -544,9 +582,10 @@ class FaultCampaignResult:
     def degradation_pct(self) -> float:
         return 100.0 * (1.0 - self.coverage_ratio)
 
-    def degraded_gracefully(self, tolerance_pct: float = 15.0) -> bool:
-        """Within tolerance of the fault-free run of the same seed."""
-        return self.degradation_pct <= tolerance_pct
+    def degraded_gracefully(self) -> bool:
+        """Within ``FAULT_DEGRADATION_PCT`` of the fault-free run of the
+        same seed."""
+        return self.degradation_pct <= FAULT_DEGRADATION_PCT
 
 
 def run_fault_tolerance_campaign(
@@ -669,7 +708,6 @@ def _build_shared_tier(
     """The cluster's central serving tier: one (batching) service whose
     predictor runs the localizer on tagged ``(worker_id, query)``
     payloads with a serve-side RNG stream."""
-    cfg = config.snowplow
     if oracle:
         from repro.snowplow.oracle import OracleLocalizer
 
@@ -678,8 +716,6 @@ def _build_shared_tier(
         localizer = PMMLocalizer(
             trained.model, trained.encoder, kernel,
             Executor(kernel, seed=derive_seed(run_seed, "serve-exec")),
-            max_targets=cfg.max_targets,
-            threshold=cfg.prediction_threshold,
             profiler=observer.profiler if observer is not None else None,
         )
     serve_rng = split(run_seed, "serve")
@@ -690,8 +726,8 @@ def _build_shared_tier(
         return localizer.localize(program, coverage, targets, serve_rng)
 
     service = build_inference_service(
-        predict, cfg, config.cost.inference_latency, injector=injector,
-        observer=observer, batched=True,
+        predict, config.snowplow, config.cost.inference_latency,
+        injector=injector, observer=observer, batched=True,
     )
     return SharedInferenceTier(service)
 
@@ -756,9 +792,7 @@ def build_cluster(
             ClusterWorker(
                 worker_id=index, loop=loop, hub=hub,
                 sync_interval=cluster_config.sync_interval,
-                sync_cost=cluster_config.sync_cost,
                 injector=injector,
-                max_sync_retries=cluster_config.max_sync_retries,
             )
         )
     supervisor = None
@@ -895,8 +929,7 @@ def chaos_plan(
             0.50 * horizon,
             min(
                 0.50 * horizon
-                + (cluster_config.max_sync_retries + 2)
-                * cluster_config.sync_interval,
+                + (MAX_SYNC_RETRIES + 2) * cluster_config.sync_interval,
                 0.90 * horizon,
             ),
         )
@@ -964,9 +997,10 @@ class ChaosCampaignResult:
     def resume_identical(self) -> bool:
         return self.resume_signatures[0] == self.resume_signatures[1]
 
-    def degraded_gracefully(self, threshold_pct: float = 10.0) -> bool:
-        """Final coverage within ``threshold_pct`` of the no-fault run."""
-        return self.coverage_ratio >= 1.0 - threshold_pct / 100.0
+    def degraded_gracefully(self) -> bool:
+        """Final coverage within ``CHAOS_DEGRADATION_PCT`` of the
+        no-fault run."""
+        return self.coverage_ratio >= 1.0 - CHAOS_DEGRADATION_PCT / 100.0
 
     @property
     def accounting_closed(self) -> bool:
@@ -985,12 +1019,12 @@ class ChaosCampaignResult:
             return False
         return acc["subsumed"] == 0 or acc["superseded_records"] > 0
 
-    def passed(self, threshold_pct: float = 10.0) -> bool:
+    def passed(self) -> bool:
         return (
             self.zero_corpus_loss
             and self.coverage_monotone
             and self.resume_identical
-            and self.degraded_gracefully(threshold_pct)
+            and self.degraded_gracefully()
             and self.accounting_closed
         )
 
@@ -1000,7 +1034,6 @@ def run_chaos_campaign(
     trained: TrainedPMM | None,
     config: CampaignConfig,
     cluster_config: ClusterConfig | None = None,
-    plan: FaultPlan | None = None,
     baseline: bool = False,
     oracle: bool = False,
     observe: bool = False,
@@ -1024,7 +1057,7 @@ def run_chaos_campaign(
             "set ClusterConfig.heartbeat_deadline"
         )
     run_seed = derive_seed(config.seed, "chaos", kernel.version)
-    plan = plan or chaos_plan(config.seed, config.horizon, cluster_config)
+    plan = chaos_plan(config.seed, config.horizon, cluster_config)
 
     def fleet(faulted: bool) -> ClusterFuzzer:
         return build_cluster(
@@ -1150,14 +1183,8 @@ def run_directed_campaign(
     trained: TrainedPMM,
     targets: list[int],
     config: CampaignConfig,
-    oracle=None,
 ) -> dict[int, dict[str, list[DirectedResult]]]:
-    """Table 5: per-target time-to-reach for SyzDirect vs Snowplow-D.
-
-    ``oracle`` (a :class:`repro.analyze.DependencyOracle`) upgrades the
-    SyzDirect mode to exact static steering slots; it defaults to None
-    so baseline runs stay byte-identical.
-    """
+    """Table 5: per-target time-to-reach for SyzDirect vs Snowplow-D."""
     if not targets:
         raise CampaignError("directed campaign needs at least one target")
     results: dict[int, dict[str, list[DirectedResult]]] = {}
@@ -1177,9 +1204,7 @@ def run_directed_campaign(
                     kernel.table, split(run_seed, "gen", mode)
                 )
                 if mode == "syzdirect":
-                    localizer = SyzDirectLocalizer(
-                        target_syscall, oracle=oracle
-                    )
+                    localizer = SyzDirectLocalizer(target_syscall)
                     overhead = 0.0
                 else:
                     localizer = PMMLocalizer(

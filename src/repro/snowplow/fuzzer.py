@@ -42,61 +42,63 @@ __all__ = [
 ]
 
 
+# Max targets marked per mutation query (uncovered frontier sample).
+MAX_TARGETS = 8
+# Sigmoid threshold for MUTATE at fuzz time.  Deliberately recall-biased
+# (below the F1-calibrated decision threshold): a spurious predicted
+# argument costs one wasted mutation, a missed one forfeits the whole
+# burst.
+PREDICTION_THRESHOLD = 0.30
+# Burst size per predicted argument (dynamic adjustment, §3.4).  Hard
+# branches compare against exact operands; with the instantiator's ~10 %
+# per-draw chance of producing the right constant, a burst needs
+# double-digit draws per argument.
+MUTATIONS_PER_PREDICTED_ARG = 8
+MAX_BURST = 24
+# Ceiling on the share of loop iterations given to pending PMM bursts;
+# the rest keep the fuzzer's other mutation types flowing (Snowplow
+# replaces the *argument* localizer, not the whole mutation mix — §3.4).
+# The effective share adapts to recent burst yield: when predictions
+# stop producing coverage (late-campaign residue the model cannot
+# localize), Snowplow degrades gracefully toward the baseline mix
+# instead of taxing the loop.
+BURST_SHARE = 0.7
+BURST_SHARE_FLOOR = 0.15
+# EMA smoothing for per-mutation burst success.
+BURST_YIELD_DECAY = 0.97
+# Inference service sizing: ~39 concurrent slots reproduce the paper's
+# 57 q/s at 0.69 s latency (machine_infer, 8 L4 GPUs).
+SERVERS = 40
+MAX_QUEUE = 128
+# Dynamic batching (cluster serving tier): a batch of b requests
+# occupies one slot for ``(BATCH_BASE_FACTOR + b * BATCH_MARGINAL_FACTOR)
+# * inference_latency`` — at b=1 that is exactly the unbatched latency,
+# so single-worker runs are unchanged, while a full batch of 8 amortizes
+# the fixed cost ~2.9x.
+BATCH_TIMEOUT_FACTOR = 0.25
+BATCH_BASE_FACTOR = 0.75
+BATCH_MARGINAL_FACTOR = 0.25
+# Resilience (§3.4's degradation story, under fault injection):
+# per-request deadline and first-retry backoff, as multiples of the
+# inference latency; retries double the backoff each attempt.
+REQUEST_DEADLINE_FACTOR = 2.0
+RETRY_BACKOFF_FACTOR = 0.5
+MAX_RETRIES = 2
+# Circuit breaker: consecutive delivery failures before the serving tier
+# is declared down, and how long (in latencies) to wait before the
+# half-open probe.
+BREAKER_FAILURE_THRESHOLD = 4
+BREAKER_RESET_FACTOR = 4.0
+
+
 @dataclass
 class SnowplowConfig:
-    """Knobs of the hybrid integration."""
+    """The knobs of the hybrid integration that callers set."""
 
-    # Max targets marked per mutation query (uncovered frontier sample).
-    max_targets: int = 8
-    # Sigmoid threshold for MUTATE at fuzz time.  Deliberately
-    # recall-biased (below the F1-calibrated decision threshold): a
-    # spurious predicted argument costs one wasted mutation, a missed
-    # one forfeits the whole burst.
-    prediction_threshold: float = 0.30
-    # Burst size per predicted argument (dynamic adjustment, §3.4).
-    # Hard branches compare against exact operands; with the
-    # instantiator's ~10 % per-draw chance of producing the right
-    # constant, a burst needs double-digit draws per argument.
-    mutations_per_predicted_arg: int = 8
-    max_burst: int = 24
     # Probability of a random argument localization on the fallback path.
     fallback_argument_prob: float = 0.10
-    # Ceiling on the share of loop iterations given to pending PMM
-    # bursts; the rest keep the fuzzer's other mutation types flowing
-    # (Snowplow replaces the *argument* localizer, not the whole
-    # mutation mix — §3.4).  The effective share adapts to recent burst
-    # yield: when predictions stop producing coverage (late-campaign
-    # residue the model cannot localize), Snowplow degrades gracefully
-    # toward the baseline mix instead of taxing the loop.
-    burst_share: float = 0.7
-    burst_share_floor: float = 0.15
-    # EMA smoothing for per-mutation burst success.
-    burst_yield_decay: float = 0.97
-    # Inference service sizing: ~39 concurrent slots reproduce the
-    # paper's 57 q/s at 0.69 s latency (machine_infer, 8 L4 GPUs).
-    servers: int = 40
-    max_queue: int = 128
-    # --- dynamic batching (cluster serving tier) ---
-    # A batch of b requests occupies one slot for
-    # ``(batch_base_factor + b * batch_marginal_factor) * inference_latency``
-    # — at b=1 that is exactly the unbatched latency, so single-worker
-    # runs are unchanged, while a full batch of 8 amortizes the fixed
-    # cost ~2.9x.  ``max_batch_size=1`` disables batching entirely.
+    # Serving-tier max batch size; 1 disables batching entirely.
     max_batch_size: int = 8
-    batch_timeout_factor: float = 0.25
-    batch_base_factor: float = 0.75
-    batch_marginal_factor: float = 0.25
-    # --- resilience (§3.4's degradation story, under fault injection) ---
-    # Per-request deadline and first-retry backoff, as multiples of the
-    # inference latency; retries double the backoff each attempt.
-    request_deadline_factor: float = 2.0
-    retry_backoff_factor: float = 0.5
-    max_retries: int = 2
-    # Circuit breaker: consecutive delivery failures before the serving
-    # tier is declared down, and how long (in latencies) to wait before
-    # the half-open probe.
-    breaker_failure_threshold: int = 4
-    breaker_reset_factor: float = 4.0
     # Deadline-aware load shedding: refuse a submission whose projected
     # slot wait exceeds this many inference latencies (the worker falls
     # back to the heuristic localizer instead of queueing stale work).
@@ -116,20 +118,20 @@ def build_inference_service(
     seconds per unbatched inference.
 
     Deadline, retry backoff, shed timeout and breaker reset are
-    ``config`` factors of ``latency``; ``observer`` supplies the metrics
-    registry and tracer.  ``batched=True`` (a cluster's shared tier)
-    batches requests when ``config.max_batch_size > 1``.
+    factors of ``latency``; ``observer`` supplies the metrics registry
+    and tracer.  ``batched=True`` (a cluster's shared tier) batches
+    requests when ``config.max_batch_size > 1``.
     """
     common = dict(
-        servers=config.servers,
-        max_queue=config.max_queue,
-        deadline=config.request_deadline_factor * latency,
-        max_retries=config.max_retries,
-        retry_backoff=config.retry_backoff_factor * latency,
+        servers=SERVERS,
+        max_queue=MAX_QUEUE,
+        deadline=REQUEST_DEADLINE_FACTOR * latency,
+        max_retries=MAX_RETRIES,
+        retry_backoff=RETRY_BACKOFF_FACTOR * latency,
         injector=injector,
         breaker=CircuitBreaker(
-            failure_threshold=config.breaker_failure_threshold,
-            reset_timeout=config.breaker_reset_factor * latency,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            reset_timeout=BREAKER_RESET_FACTOR * latency,
         ),
         registry=observer.registry if observer is not None else None,
         tracer=observer.tracer if observer is not None else None,
@@ -141,10 +143,10 @@ def build_inference_service(
     if batched and config.max_batch_size > 1:
         return BatchingInferenceService(
             predict_fn,
-            base_latency=config.batch_base_factor * latency,
-            marginal_latency=config.batch_marginal_factor * latency,
+            base_latency=BATCH_BASE_FACTOR * latency,
+            marginal_latency=BATCH_MARGINAL_FACTOR * latency,
             max_batch_size=config.max_batch_size,
-            batch_timeout=config.batch_timeout_factor * latency,
+            batch_timeout=BATCH_TIMEOUT_FACTOR * latency,
             **common,
         )
     return InferenceService(predict_fn, latency=latency, **common)
@@ -171,8 +173,6 @@ class PMMLocalizer:
         encoder: GraphEncoder,
         kernel: Kernel,
         executor,
-        max_targets: int = 8,
-        threshold: float = 0.30,
         cache_size: int = 512,
         profiler=None,
     ):
@@ -180,8 +180,6 @@ class PMMLocalizer:
         self.encoder = encoder
         self.kernel = kernel
         self.executor = executor
-        self.max_targets = max_targets
-        self.threshold = threshold
         self.cache_size = cache_size
         self.profiler = profiler
         self._cache: dict = {}
@@ -207,7 +205,7 @@ class PMMLocalizer:
             frontier = sorted(self.kernel.frontier(coverage.blocks))
             if not frontier:
                 return []
-            picks = rng.permutation(len(frontier))[: self.max_targets]
+            picks = rng.permutation(len(frontier))[:MAX_TARGETS]
             targets = {frontier[int(pick)] for pick in picks}
         cache_key = self._cache_key(program, targets)
         cached = self._cache.get(cache_key)
@@ -221,7 +219,7 @@ class PMMLocalizer:
             encoded = self.encoder.encode(graph)
         with self._section("localizer.gnn_forward"):
             paths = self.model.predict_paths(
-                encoded, threshold=self.threshold,
+                encoded, threshold=PREDICTION_THRESHOLD,
                 block_encoder=self.encode_blocks,
             )
         if len(self._cache) >= self.cache_size:
@@ -386,7 +384,7 @@ class SnowplowLoop(FuzzLoop):
         ]
         pool = steerable or fresh
         picks = self.rng.permutation(len(pool))
-        limit = self.snowplow_config.max_targets
+        limit = MAX_TARGETS
         director = self.director
         if director is not None and not director.observe_only:
             # Directed mode: half the query slots go to the frontier
@@ -440,10 +438,8 @@ class SnowplowLoop(FuzzLoop):
             if self._model_quality is not None:
                 self._model_quality.note_prediction(bool(paths))
             if paths:
-                cfg = self.snowplow_config
                 burst = min(
-                    cfg.max_burst,
-                    cfg.mutations_per_predicted_arg * len(paths),
+                    MAX_BURST, MUTATIONS_PER_PREDICTED_ARG * len(paths)
                 )
                 self._burst_seq += 1
                 self._bursts.append(
@@ -510,9 +506,8 @@ class SnowplowLoop(FuzzLoop):
         return "snowplow", slot, burst.burst_id, len(burst.paths)
 
     def _adaptive_fallback_selector(self) -> TypeSelector:
-        cfg = self.snowplow_config
         argument_weight = max(
-            cfg.fallback_argument_prob,
+            self.snowplow_config.fallback_argument_prob,
             0.60 - 2.0 * self._burst_yield,
         )
         return TypeSelector(
@@ -523,9 +518,8 @@ class SnowplowLoop(FuzzLoop):
 
     def _effective_burst_share(self) -> float:
         """Adaptive scheduling: recent burst yield sets the share."""
-        cfg = self.snowplow_config
-        share = cfg.burst_share_floor + 3.0 * self._burst_yield
-        return min(cfg.burst_share, share)
+        share = BURST_SHARE_FLOOR + 3.0 * self._burst_yield
+        return min(BURST_SHARE, share)
 
     def _run_candidate(self, entry, outcome) -> None:
         pre_edges = len(self.accumulated.edges)
@@ -548,9 +542,9 @@ class SnowplowLoop(FuzzLoop):
             )
         if burst is not None:
             produced = len(self.accumulated.edges) > pre_edges
-            decay = self.snowplow_config.burst_yield_decay
             self._burst_yield = (
-                decay * self._burst_yield + (1.0 - decay) * float(produced)
+                BURST_YIELD_DECAY * self._burst_yield
+                + (1.0 - BURST_YIELD_DECAY) * float(produced)
             )
             burst.gained += len(self.accumulated.blocks) - pre_blocks
             burst.hit |= pending_targets & self.accumulated.blocks

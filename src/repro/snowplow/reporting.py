@@ -15,6 +15,7 @@ import numpy as np
 from repro.fuzzer.crash import TriagedCrash
 from repro.fuzzer.directed import DirectedResult
 from repro.kernel.bugs import CrashKind
+from repro.observe.slo import CHAOS_DEGRADATION_PCT
 from repro.pmm.metrics import SelectorMetrics
 from repro.snowplow.campaign import (
     ChaosCampaignResult,
@@ -260,7 +261,10 @@ def format_chaos(result: ChaosCampaignResult) -> str:
         ("zero corpus-entry loss", result.zero_corpus_loss),
         ("fleet coverage monotone", result.coverage_monotone),
         ("kill+resume bit-identical", result.resume_identical),
-        ("degraded gracefully (<=10%)", result.degraded_gracefully()),
+        (
+            f"degraded gracefully (<={CHAOS_DEGRADATION_PCT:g}%)",
+            result.degraded_gracefully(),
+        ),
     )
     for name, ok in checks:
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {name}")

@@ -111,13 +111,14 @@ class InferenceReport:
             "state_edges": len(self.state_edges),
         }
 
-    def export_gauges(self, observer, prefix: str = "specgen") -> None:
-        """Publish inference-quality gauges to an observer registry."""
+    def export_gauges(self, observer) -> None:
+        """Publish inference-quality ``specgen.*`` gauges to an observer
+        registry."""
         registry = observer.registry
         for key, value in self.to_dict().items():
             if key == "version":
                 continue
-            registry.gauge(f"{prefix}.{key}").set(value)
+            registry.gauge(f"specgen.{key}").set(value)
 
 
 class _TrieNode:
@@ -270,19 +271,17 @@ def _is_producer(full_name: str) -> bool:
 
 def infer_specs(
     kernel: Kernel,
-    oracle: DependencyOracle | None = None,
     observer=None,
 ) -> tuple[SyscallTable, InferenceReport]:
     """Infer a :class:`SyscallTable` from ``kernel``'s CFGs alone.
 
-    ``oracle`` (built on demand) resolves state-condition def-use chains
+    A :class:`DependencyOracle` resolves state-condition def-use chains
     so the report's producer/consumer edges only include flags some
     effect block actually writes.  Returns the table plus an
     :class:`InferenceReport`; with ``observer`` set, the report is also
     published as ``specgen.*`` gauges.
     """
-    if oracle is None:
-        oracle = DependencyOracle(kernel)
+    oracle = DependencyOracle(kernel)
     report = InferenceReport(version=kernel.version)
 
     handlers = sorted(kernel.handlers)
@@ -385,11 +384,7 @@ def infer_specs(
     return table, report
 
 
-def infer_table(
-    kernel: Kernel,
-    oracle: DependencyOracle | None = None,
-    observer=None,
-) -> SyscallTable:
+def infer_table(kernel: Kernel, observer=None) -> SyscallTable:
     """Just the inferred table (see :func:`infer_specs`)."""
-    table, _ = infer_specs(kernel, oracle=oracle, observer=observer)
+    table, _ = infer_specs(kernel, observer=observer)
     return table

@@ -14,8 +14,6 @@ generation toward semantically valid programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.rng import choice_weighted
@@ -53,17 +51,14 @@ _FILENAMES = (b"./file0", b"./file1", b"./file2", b"./dir0/file0")
 _STRINGS = (b"", b"db", b"hello", b"\x00\x00", b"AAAA")
 
 
-@dataclass
-class GeneratorConfig:
-    """Tunables for random program generation."""
-
-    min_calls: int = 3
-    max_calls: int = 8
-    # Probability that a resource consumer is wired to a live producer
-    # instead of NULL.
-    wire_resource_prob: float = 0.9
-    # Probability a nullable pointer is generated NULL.
-    null_ptr_prob: float = 0.05
+# Call-count range of a random program (before prepended producers).
+MIN_CALLS = 3
+MAX_CALLS = 8
+# Probability that a resource consumer is wired to a live producer
+# instead of NULL.
+WIRE_RESOURCE_PROB = 0.9
+# Probability a nullable pointer is generated NULL.
+NULL_PTR_PROB = 0.05
 
 
 class ProgramGenerator:
@@ -73,11 +68,9 @@ class ProgramGenerator:
         self,
         table: SyscallTable,
         rng: np.random.Generator,
-        config: GeneratorConfig | None = None,
     ):
         self.table = table
         self.rng = rng
-        self.config = config or GeneratorConfig()
         self._next_offset = 0
 
     # ----- values -----
@@ -100,7 +93,7 @@ class ProgramGenerator:
         if isinstance(ty, BufferType):
             return BufferValue(ty, self._random_buffer(ty))
         if isinstance(ty, PtrType):
-            if ty.optional and self.rng.random() < self.config.null_ptr_prob:
+            if ty.optional and self.rng.random() < NULL_PTR_PROB:
                 return PtrValue(ty, 0, None)
             pointee = self.random_value(ty.elem, producers)
             return PtrValue(ty, self._fresh_address(), pointee)
@@ -162,7 +155,7 @@ class ProgramGenerator:
         for kind_name, indices in producers.items():
             if kind_name == ty.resource.name:
                 candidates.extend(indices)
-        if candidates and self.rng.random() < self.config.wire_resource_prob:
+        if candidates and self.rng.random() < WIRE_RESOURCE_PROB:
             return ResourceValue(ty, int(self.rng.choice(candidates)))
         return ResourceValue(ty, None)
 
@@ -198,11 +191,7 @@ class ProgramGenerator:
     def random_program(self, length: int | None = None) -> Program:
         """Generate one valid random program."""
         if length is None:
-            length = int(
-                self.rng.integers(
-                    self.config.min_calls, self.config.max_calls + 1
-                )
-            )
+            length = int(self.rng.integers(MIN_CALLS, MAX_CALLS + 1))
         program = Program()
         for _ in range(length):
             producers = self.producers_in(program)

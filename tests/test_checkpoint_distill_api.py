@@ -1,7 +1,9 @@
 """Tests for PMM checkpoint save/load and the basic CLI commands."""
 
+import gc
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +123,21 @@ class TestCheckpoint:
                 np.savez_compressed(handle, **arrays)
         with pytest.raises(ModelError, match=re.escape(str(path))):
             load_pmm(path, kernel.table)
+
+    def test_truncated_checkpoint_leaks_no_file_handle(
+        self, kernel, artifacts
+    ):
+        """A rejected bad zip leaves no open file behind (a long-running
+        service would leak one descriptor per rejected submit)."""
+        _, _, path = artifacts
+        path.write_bytes(path.read_bytes()[:40])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ModelError):
+                load_pmm(path, kernel.table)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestCli:

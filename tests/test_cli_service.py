@@ -201,6 +201,15 @@ class TestServiceCli:
         assert main(["cancel", *common[:2], "--campaign", "job-99"]) == 1
         assert "404" in capsys.readouterr().err
 
+    def test_submit_rejects_bad_batch_size(self, tmp_path, capsys):
+        state_dir = tmp_path / "svc"
+        assert main([
+            "submit", "--state-dir", str(state_dir), "--tenant", "alice",
+            "--size", "tiny", "--hours", "0.1", "--batch-size", "-4",
+        ]) == 1
+        assert "error 400: batch size" in capsys.readouterr().err
+        assert not (state_dir / "service.json").exists()
+
     def test_status_without_state_is_exit_two(self, tmp_path, capsys):
         assert main([
             "status", "--state-dir", str(tmp_path / "nowhere"),

@@ -102,6 +102,43 @@ class TestCliCluster:
         assert code == 2
 
 
+def _assert_one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    assert captured.out == ""
+
+
+class TestCliCampaignShape:
+    """A campaign that cannot run is refused before any work starts:
+    exit 2 and one ``error:`` line, never a traceback or a vacuous
+    pass."""
+
+    @pytest.mark.parametrize("command, bad", [
+        (["fuzz"], ["--hours", "0"]),
+        (["fuzz"], ["--hours", "-1"]),
+        (["fuzz"], ["--seed-corpus", "0"]),
+        (["fuzz"], ["--batch-size", "0"]),
+        (["fuzz"], ["--kernel", "9.9"]),
+        (["cluster", "--worker-counts", "1"], ["--hours", "0"]),
+        (["cluster", "--worker-counts", "1"], ["--seed-corpus", "0"]),
+        (["cluster", "--worker-counts", "1"], ["--batch-size", "-3"]),
+        (["cluster", "chaos"], ["--hours", "0"]),
+    ], ids=[
+        "fuzz-hours-0", "fuzz-hours-negative", "fuzz-seed-corpus-0",
+        "fuzz-batch-size-0", "fuzz-unknown-kernel", "cluster-hours-0",
+        "cluster-seed-corpus-0", "cluster-batch-size-negative",
+        "cluster-chaos-hours-0",
+    ])
+    def test_bad_shape_exits_2(self, command, bad, capsys):
+        assert main([
+            *command, "--size", "tiny", "--oracle", "--hours", "0.1",
+            "--seed-corpus", "4", *bad,
+        ]) == 2
+        _assert_one_error_line(capsys)
+
+
 class TestCliBadModel:
     """A ``--model`` that does not load exits 2 with one ``error:`` line
     instead of a traceback."""
@@ -120,18 +157,57 @@ class TestCliBadModel:
         ["cluster", "chaos"],
     ], ids=["fuzz", "cluster", "cluster-chaos"])
     def test_bad_model_exits_2(self, command, bad_model, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main([
-                *command, "--size", "tiny", "--model", str(bad_model),
-                "--hours", "0.1", "--seed-corpus", "4",
-            ])
-        assert exit_info.value.code == 2
+        assert main([
+            *command, "--size", "tiny", "--model", str(bad_model),
+            "--hours", "0.1", "--seed-corpus", "4",
+        ]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("error: checkpoint ")
         assert str(bad_model) in lines[0]
         assert captured.out == ""
+
+
+class TestCliErrorBoundary:
+    """A library error or an unreadable input ends any command with one
+    ``error:`` line on stderr and exit status 2."""
+
+    @pytest.mark.parametrize("command", ["exec", "triage"])
+    def test_unparsable_program(self, command, tmp_path, capsys):
+        program = tmp_path / "bad.syz"
+        program.write_text("this is not a syz program(\n")
+        assert main([
+            command, "--size", "tiny", "--prog", str(program),
+        ]) == 2
+        _assert_one_error_line(capsys)
+
+    def test_missing_program_file(self, tmp_path, capsys):
+        assert main([
+            "exec", "--size", "tiny", "--prog", str(tmp_path / "missing.syz"),
+        ]) == 2
+        _assert_one_error_line(capsys)
+
+    def test_corrupt_service_state(self, tmp_path, capsys):
+        (tmp_path / "service.json").write_text("{corrupt")
+        assert main(["status", "--state-dir", str(tmp_path)]) == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("spec", ["patch:6.8..9.9", "patch:9.9..6.8"])
+    def test_unknown_directed_release(self, spec, capsys):
+        assert main([
+            "fuzz", "--size", "tiny", "--oracle", "--hours", "0.1",
+            "--seed-corpus", "4", "--directed", spec,
+        ]) == 2
+        _assert_one_error_line(capsys)
+
+    def test_observe_diff_missing_file(self, tmp_path, capsys):
+        other = tmp_path / "b.json"
+        other.write_text("{}")
+        assert main([
+            "observe", "diff", str(tmp_path / "missing.json"), str(other),
+        ]) == 2
+        _assert_one_error_line(capsys)
 
 
 class TestCliObserve:

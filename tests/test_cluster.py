@@ -615,7 +615,7 @@ class TestChaosCampaign:
         assert result.zero_corpus_loss
         assert result.coverage_monotone
         assert result.resume_identical
-        assert result.degraded_gracefully(10.0)
+        assert result.degraded_gracefully()
         assert result.passed()
         assert result.restarts >= 1
         assert result.outstanding_lost == 0

@@ -4,6 +4,8 @@ Full example runs take minutes; these tests exercise their helper
 functions and a truncated version of each main path.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.kernel import Executor
@@ -30,18 +32,15 @@ class TestServingExample:
         assert "57" in output  # the paper reference line
 
 
+EXAMPLES = sorted(
+    f"examples.{path.stem}"
+    for path in Path(__file__).resolve().parents[1].glob("examples/*.py")
+    if path.stem != "__init__"
+)
+
+
 class TestExamplesImportable:
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "examples.quickstart",
-            "examples.crash_hunting",
-            "examples.directed_fuzzing",
-            "examples.train_and_evaluate_pmm",
-            "examples.inference_serving",
-            "examples.cluster_campaign",
-        ],
-    )
+    @pytest.mark.parametrize("module", EXAMPLES)
     def test_importable_with_main(self, module):
         imported = __import__(module, fromlist=["main"])
         assert callable(imported.main)

@@ -226,15 +226,20 @@ def _program(kernel, seed, damage=0.0):
     return _damage(program, rng, damage) if damage else program
 
 
-def _assert_same_runs(kernel, programs, plan=None, **options):
+def _assert_same_runs(kernel, programs, plan=None, watchdog=False,
+                      **options):
     """Both executors, built alike (each with its own injector over
-    ``plan``), give equal results run after run and end in the same
-    RNG state.  Returns the compiled executor's results."""
+    ``plan``, and the watchdog turned on the way a loop does), give
+    equal results run after run and end in the same RNG state.
+    Returns the compiled executor's results."""
     executors = []
     for cls in (Executor, ReferenceExecutor):
         if plan is not None:
             options["injector"] = FaultInjector(plan)
-        executors.append(cls(kernel, **options))
+        executor = cls(kernel, **options)
+        if watchdog:
+            executor.watchdog = True
+        executors.append(executor)
     fast, reference = executors
     results = []
     for program in programs:

@@ -112,6 +112,9 @@ class TestCampaignSpec:
         {"seed_corpus": 0},
         {"size": "galactic"},
         {"mode": "model"},  # model mode requires a checkpoint path
+        {"kernel": "9.9"},
+        {"batch_size": 0},
+        {"batch_size": -4},
     ])
     def test_validation(self, bad):
         params = _spec_params("alice")
@@ -224,6 +227,21 @@ class TestModelSubmit:
         result = _result(server, job_id)
         assert result["mode"] == "model"
         assert result["executions"] > 0
+
+
+class TestShapeSubmit:
+    def test_unbuildable_spec_is_400_and_stalls_no_tenant(self):
+        """A spec no job can build is refused at submit, so it never
+        reaches the fleet and every other tenant's job still runs."""
+        server = ServiceServer(fleet_size=2)
+        response = server.handle(Request(
+            "POST", "/campaigns", _spec_params("alice", kernel="9.9"),
+        ))
+        assert response.status == 400
+        assert "9.9" in response.body["error"]
+        assert server.orchestrator.jobs == {}
+        job_id = _submit(server, "bob", hours=0.1, seed_corpus=4)
+        assert _advance(server)["done"] == [job_id]
 
 
 class TestServiceLifecycle:

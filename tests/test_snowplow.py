@@ -22,6 +22,7 @@ from repro.snowplow import (
     run_directed_campaign,
     train_pmm,
 )
+from repro.snowplow.fuzzer import MAX_TARGETS
 from repro.snowplow.campaign import (
     build_loop,
     default_directed_targets,
@@ -131,7 +132,7 @@ class TestSnowplowLoop:
         targets = loop._query_targets(entry.coverage)
         if targets is not None:
             assert not (targets & loop.accumulated.blocks)
-            assert len(targets) <= loop.snowplow_config.max_targets
+            assert len(targets) <= MAX_TARGETS
 
     def test_blocking_inference_slows_loop(self, kernel, trained):
         """Ablation: charging inference latency on the loop must reduce

@@ -10,7 +10,13 @@ from repro.pmm import PMM, DatasetConfig, PMMConfig, TrainConfig
 from repro.rng import derive_seed, make_rng, split
 from repro.snowplow import CampaignConfig, SnowplowConfig, train_pmm
 from repro.snowplow.campaign import build_loop
-from repro.snowplow.fuzzer import PMMLocalizer
+from repro.snowplow.fuzzer import (
+    BURST_SHARE,
+    BURST_SHARE_FLOOR,
+    BURST_YIELD_DECAY,
+    PREDICTION_THRESHOLD,
+    PMMLocalizer,
+)
 from repro.kernel import Executor, build_kernel
 from repro.syzlang import ProgramGenerator
 
@@ -52,10 +58,8 @@ class TestAdaptiveBurstShare:
         loop._burst_yield = 0.0
         low = loop._effective_burst_share()
         assert high > low
-        assert low == pytest.approx(
-            loop.snowplow_config.burst_share_floor
-        )
-        assert high <= loop.snowplow_config.burst_share
+        assert low == pytest.approx(BURST_SHARE_FLOOR)
+        assert high <= BURST_SHARE
 
     def test_yield_ema_updates_on_burst_outcomes(self, kernel, tiny_trained):
         from repro.fuzzer.engine import MutationOutcome
@@ -76,7 +80,7 @@ class TestAdaptiveBurstShare:
         # The EMA took exactly one step toward whether the mutant found
         # new edges, and the active burst was consumed.
         produced = float(len(loop.accumulated.edges) > edges_before)
-        decay = loop.snowplow_config.burst_yield_decay
+        decay = BURST_YIELD_DECAY
         assert loop._active_burst is None
         assert loop._burst_yield == decay * before + (1.0 - decay) * produced
 
@@ -204,5 +208,5 @@ class TestBlockEmbeddingCache:
                 plain = model.forward(encoded)
             assert np.array_equal(cached.data, plain.data)
             assert paths == model.predict_paths(
-                encoded, threshold=localizer.threshold
+                encoded, threshold=PREDICTION_THRESHOLD
             )

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.rng import make_rng
 from repro.syzlang import ProgramGenerator, build_standard_table
-from repro.syzlang.generator import GeneratorConfig
+from repro.syzlang.generator import MIN_CALLS
 from repro.syzlang.program import IntValue, ResourceValue
 from repro.syzlang.types import IntType
 
@@ -35,13 +35,12 @@ class TestRandomProgram:
         assert serialize_program(a) == serialize_program(b)
 
     def test_length_bounds(self, table):
-        config = GeneratorConfig(min_calls=2, max_calls=4)
-        generator = ProgramGenerator(table, make_rng(0), config)
+        generator = ProgramGenerator(table, make_rng(0))
         for _ in range(20):
             program = generator.random_program()
             # Producers may be prepended, so only the lower bound holds
             # strictly; the upper bound is lower + producers.
-            assert len(program) >= 2
+            assert len(program) >= MIN_CALLS
 
     def test_explicit_length(self, table):
         generator = ProgramGenerator(table, make_rng(1))
