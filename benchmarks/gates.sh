@@ -44,11 +44,20 @@ fleet)
 service)
   state=$out/service-state
   python -m repro.cli submit \
-    --state-dir "$state" --fleet-size 2 --time-slice 300 \
+    --state-dir "$state" --fleet-size 4 --time-slice 300 \
     --tenant alice --size tiny --hours 0.3 --seed 3 --seed-corpus 10
   python -m repro.cli submit --state-dir "$state" --tenant bob \
     --size tiny --hours 0.3 --seed 9 --seed-corpus 10 \
     --priority 5 --budget-hours 1.0 --max-concurrent 1
+  # A supervised, sharded cluster job whose worker 1 dies at 950 s,
+  # after the kill point below, so the restart happens in the resumed
+  # runs.
+  echo '{"seed": 3, "windows": [["worker_kill:1", 950.0, 950.0]]}' \
+    > "$out/worker-kill.json"
+  python -m repro.cli submit --state-dir "$state" --tenant carol \
+    --size tiny --hours 0.3 --seed 5 --seed-corpus 10 \
+    --workers 2 --shards 2 --heartbeat-deadline 60 \
+    --faults "$out/worker-kill.json"
   # Kill the service mid-run (80% of the horizon), then resume twice
   # from the same checkpoint bytes.  Two independent restores of one
   # state replay every admitted campaign bit-identically, so the full
@@ -71,6 +80,14 @@ assert body['charged_hours'] == 0.3, body
 assert abs(body['budget_remaining'] - 0.7) < 1e-9, body
 assert body['quota']['priority'] == 5, body
 print('quota accounting ok:', body['tenant'], body)
+"
+  python -c "
+from repro.service import Request, load_service
+response = load_service('$state').handle(
+    Request('GET', '/campaigns/job-3/result'))
+assert response.ok, response.body
+assert response.body['result']['restarts'] >= 1, response.body
+print('supervised restart ok:', response.body['result']['restarts'])
 "
   python -m repro.cli serve --state-dir "$state" \
     --report-out "$out/service-health/report.txt"

@@ -52,21 +52,23 @@ def main() -> None:
     # --- kill + resume, bit-identically ---
     run_seed = derive_seed(config.seed, "scaling", kernel.version)
 
-    def build():
+    def build(seeded):
+        # A fleet built to be restored skips the seed corpus: the
+        # checkpoint overwrites every worker's corpus anyway.
         return build_cluster(
             kernel, None, run_seed, config,
             cluster_config=ClusterConfig(
                 workers=4, sync_interval=cluster_config.sync_interval
             ),
-            oracle=True,
+            oracle=True, seeded=seeded,
         )
 
-    victim = build()
+    victim = build(seeded=True)
     victim.run_until(config.horizon / 2)
     state = cluster_state(victim)
     finals = []
     for _ in range(2):
-        fresh = build()
+        fresh = build(seeded=False)
         restore_cluster_state(fresh, state)
         finals.append(fresh.run())
     identical = (

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.kernel import Kernel, build_kernel
 from repro.service.runner import JobRunner
 from repro.service.session_manager import QuotaError, SessionManager
 from repro.service.specs import CampaignSpec
@@ -53,7 +54,7 @@ class SubmitError(Exception):
 class JobRecord:
     """The control-plane view of one campaign.
 
-    ``exec_state`` (a v6 ``loop_state``/``cluster_state`` payload) is
+    ``exec_state`` (a v7 ``loop_state``/``cluster_state`` payload) is
     only populated while the job is RUNNING and a serve pass is not
     holding the live runner; everything else is cheap JSON the status
     and health endpoints read without materializing any loops.
@@ -225,12 +226,13 @@ class Orchestrator:
         between calls.
         """
         bound = math.inf if until is None else float(until)
+        kernels: dict[tuple, Kernel] = {}
         runners: dict[str, JobRunner] = {}
         for job in self.in_state(RUNNING):
-            runners[job.job_id] = self._materialize(job)
+            runners[job.job_id] = self._materialize(job, kernels)
         while True:
             self._apply_cancellations(runners)
-            self._admit(runners)
+            self._admit(runners, kernels)
             running = self.in_state(RUNNING)
             if not running:
                 # Nothing runnable: with free slots the queue would have
@@ -270,7 +272,9 @@ class Orchestrator:
             "cancelled": [job.job_id for job in self.in_state(CANCELLED)],
         }
 
-    def _admit(self, runners: dict[str, JobRunner]) -> None:
+    def _admit(
+        self, runners: dict[str, JobRunner], kernels: dict[tuple, Kernel]
+    ) -> None:
         """Admit queued jobs into free slots, priority first."""
         while True:
             queued = sorted(
@@ -292,7 +296,7 @@ class Orchestrator:
                 job.admitted_at = self.now
                 job.message = ""
                 self.sessions.admit(job.spec.tenant)
-                runners[job.job_id] = self._materialize(job)
+                runners[job.job_id] = self._materialize(job, kernels)
                 admitted = True
                 break
             if not admitted:
@@ -331,11 +335,19 @@ class Orchestrator:
         job.message = ""
         self.sessions.release(job.spec.tenant)
 
-    def _materialize(self, job: JobRecord) -> JobRunner:
-        runner = JobRunner(job.spec)
-        if job.exec_state is not None:
-            runner.restore(job.exec_state)
-        return runner
+    def _materialize(
+        self, job: JobRecord, kernels: dict[tuple, Kernel]
+    ) -> JobRunner:
+        """The job's runner, on the pass's one built kernel for its
+        ``(version, kernel seed, size)``: a fresh job is seeded, a
+        running one restored from its ``exec_state``."""
+        spec = job.spec
+        key = (spec.kernel, spec.kernel_seed, spec.size)
+        if key not in kernels:
+            kernels[key] = build_kernel(
+                spec.kernel, seed=spec.kernel_seed, size=spec.size
+            )
+        return JobRunner(spec, kernels[key], job.exec_state)
 
     # ----- checkpointing (format v7 control layer) -----
 

@@ -9,27 +9,38 @@ orchestrator.
 
 **Isolation is the design.**  Each job owns its executor, RNG streams,
 corpus, hub, and inference tier; nothing mutable is shared between
-jobs.  Campaigns are multiplexed by interleaving their *virtual* time
-slices, and since no cross-job state exists, the interleave cannot leak
-into any job's results: a campaign's outcome is a pure function of its
-spec.  (Deliberately so — co-batching tenants through one literal
-inference service would make batch latency, and therefore results,
-depend on who else is running.)  The standalone-vs-multiplexed
-signature equality asserted by the service gate falls out of this
-structure rather than being patched in.
+jobs.  The one object jobs share is the built :class:`~repro.kernel.
+build.Kernel`: the orchestrator builds one per ``(version, kernel
+seed, size)`` in each ``advance`` and hands it to every runner on that
+key.  That is safe because a built kernel is never mutated (executors
+keep their compiled step tables to themselves), so sharing it is
+indistinguishable from each job building its own.  Campaigns are
+multiplexed by interleaving their *virtual* time slices, and since no
+cross-job state exists, the interleave cannot leak into any job's
+results: a campaign's outcome is a pure function of its spec.
+(Deliberately so — co-batching tenants through one literal inference
+service would make batch latency, and therefore results, depend on who
+else is running.)  The standalone-vs-multiplexed signature equality
+asserted by the service gate falls out of this structure rather than
+being patched in.
+
+A runner built from a job's ``exec_state`` is built unseeded and then
+restored: the restore overwrites every corpus, so generating and
+executing a seed corpus first would be thrown away.
 """
 
 from __future__ import annotations
 
 from repro.cluster import ClusterConfig
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import build_kernel
+from repro.kernel import Kernel
 from repro.observe import Observer, SLOEngine
 from repro.observe.slo import DEFAULT_PACKS
 from repro.snowplow.campaign import (
     TrainedPMM,
     build_cluster,
     build_fuzz_loop,
+    build_loop,
     fuzz_campaign_config,
     fuzz_run_seed,
 )
@@ -56,13 +67,15 @@ def encode_signature(value):
 
 
 class JobRunner:
-    """The execution side of one job: loops in, result payload out."""
+    """The execution side of one job: loops in, result payload out.
 
-    def __init__(self, spec):
+    ``kernel`` is the spec's built kernel, which the caller may share
+    with other jobs on the same key.
+    """
+
+    def __init__(self, spec, kernel: Kernel, exec_state: dict | None = None):
         self.spec = spec
-        self.kernel = build_kernel(
-            spec.kernel, seed=spec.kernel_seed, size=spec.size
-        )
+        self.kernel = kernel
         self.config = fuzz_campaign_config(
             spec.hours, spec.seed, spec.seed_corpus, spec.batch_size
         )
@@ -79,6 +92,7 @@ class JobRunner:
         )
         baseline = spec.mode == "baseline"
         oracle = spec.mode == "oracle"
+        seeded = exec_state is None
         if spec.workers > 1:
             self.loop = None
             self.cluster = build_cluster(
@@ -88,15 +102,17 @@ class JobRunner:
                     heartbeat_deadline=spec.heartbeat_deadline,
                 ),
                 baseline=baseline, oracle=oracle,
-                injector=injector, observer=self.observer,
+                injector=injector, observer=self.observer, seeded=seeded,
             )
         else:
             self.cluster = None
-            self.loop = build_fuzz_loop(
+            self.loop = (build_fuzz_loop if seeded else build_loop)(
                 self.kernel, trained, self.run_seed, self.config,
                 baseline=baseline, oracle=oracle,
                 injector=injector, observer=self.observer,
             )
+        if exec_state is not None:
+            self.restore(exec_state)
 
     # ----- the orchestrator's drive surface -----
 

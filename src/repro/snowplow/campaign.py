@@ -742,13 +742,14 @@ def build_cluster(
     oracle: bool = False,
     injector: FaultInjector | None = None,
     observer: Observer | None = None,
+    seeded: bool = True,
 ) -> ClusterFuzzer:
-    """Assemble a seeded, ready-to-run fleet.
+    """Assemble a fleet, seeded unless ``seeded=False``.
 
     Worker ``i``'s RNG streams derive from ``(run_seed, "worker", i)``
     regardless of fleet size, so worker 0 of a 1-worker cluster and
     worker 0 of an 8-worker cluster run the same private schedule — the
-    scaling sweep then measures sharing, not reseeding.  All workers
+    scaling sweep then measures sharing, not reseeding.  Seeded workers
     start from one shared seed corpus.  ``baseline=True`` builds a
     Syzkaller (heuristics-only) fleet with no serving tier.
 
@@ -756,9 +757,15 @@ def build_cluster(
     range; ``cluster_config.heartbeat_deadline`` attaches a
     :class:`~repro.cluster.FleetSupervisor` that restarts hung/dead
     workers with deterministically reseeded loops.
+
+    ``seeded=False`` builds the fleet a checkpoint is restored onto:
+    its workers' loops come from :func:`build_loop` with no seed
+    corpus, which the restore would overwrite.  The seed corpus is made
+    on first use, so such a fleet makes it only if the supervisor
+    restarts a worker.
     """
     cluster_config = cluster_config or ClusterConfig()
-    seeds = campaign_seeds(kernel, run_seed, config.seed_corpus_size)
+    seeds: list[Program] = []
     registry = observer.registry if observer is not None else None
     if cluster_config.shards > 1:
         hub: CorpusHub = ShardedHub(
@@ -773,21 +780,29 @@ def build_cluster(
             injector=injector, observer=observer,
         )
 
-    def loop_factory(index: int, seed: int) -> FuzzLoop:
-        # Shared between generation-0 construction and supervisor
-        # restarts: only the seed differs across a worker's generations.
-        loop = build_loop(
+    def unseeded_loop(index: int, seed: int) -> FuzzLoop:
+        return build_loop(
             kernel, trained, seed, config, baseline=baseline,
             oracle=oracle, injector=injector, observer=observer,
             service=tier.view(index) if tier is not None else None,
             worker=index,
         )
+
+    def loop_factory(index: int, seed: int) -> FuzzLoop:
+        # Shared between generation-0 construction and supervisor
+        # restarts: only the seed differs across a worker's generations.
+        loop = unseeded_loop(index, seed)
+        if not seeds:
+            seeds.extend(
+                campaign_seeds(kernel, run_seed, config.seed_corpus_size)
+            )
         loop.seed(seeds)
         return loop
 
+    first_loop = loop_factory if seeded else unseeded_loop
     workers = []
     for index in range(cluster_config.workers):
-        loop = loop_factory(index, derive_seed(run_seed, "worker", index))
+        loop = first_loop(index, derive_seed(run_seed, "worker", index))
         workers.append(
             ClusterWorker(
                 worker_id=index, loop=loop, hub=hub,
@@ -1059,12 +1074,13 @@ def run_chaos_campaign(
     run_seed = derive_seed(config.seed, "chaos", kernel.version)
     plan = chaos_plan(config.seed, config.horizon, cluster_config)
 
-    def fleet(faulted: bool) -> ClusterFuzzer:
+    def fleet(faulted: bool, seeded: bool = True) -> ClusterFuzzer:
         return build_cluster(
             kernel, trained, run_seed, config,
             cluster_config=cluster_config, baseline=baseline, oracle=oracle,
             injector=FaultInjector(plan) if faulted else None,
             observer=Observer() if faulted and observe else None,
+            seeded=seeded,
         )
 
     clean_result = fleet(faulted=False).run()
@@ -1080,7 +1096,7 @@ def run_chaos_campaign(
     resumed: list[ClusterFuzzer] = []
     results: list[ClusterResult] = []
     for _ in range(2):
-        cluster = fleet(faulted=True)
+        cluster = fleet(faulted=True, seeded=False)
         restore_cluster_state(cluster, state)
         resumed.append(cluster)
         results.append(cluster.run())

@@ -60,7 +60,11 @@ __all__ = [
 # v7: provenance — each loop's lineage ledger (``provenance`` key),
 # per-entry lineage records in the corpus and hub state, and the
 # snowplow burst-id sequence, so `observe explain` output survives
-# kill+resume byte-identically.
+# kill+resume byte-identically.  Later v7 files also carry the program
+# generator's next pointer offset (``generator_offset``), without which
+# a resumed loop restarted its pointer addresses and so wrote different
+# program text and entry ids; a file without the key restores offset 0,
+# as every v7 file did before it.
 _FORMAT_VERSION = 7
 
 # Transient checkpoint-store write failures retried before giving up.
@@ -92,6 +96,7 @@ def loop_state(loop: FuzzLoop, include_observer: bool = True) -> dict:
             "generator": loop.engine.generator.rng.bit_generator.state,
             "executor": loop.executor._rng.bit_generator.state,
         },
+        "generator_offset": loop.engine.generator._next_offset,
         "executor": {"vm_restarts": loop.executor.vm_restarts},
         "corpus": [
             {
@@ -198,6 +203,9 @@ def restore_loop_state(loop: FuzzLoop, state: dict) -> None:
     loop.engine.rng.bit_generator.state = rng["engine"]
     loop.engine.generator.rng.bit_generator.state = rng["generator"]
     loop.executor._rng.bit_generator.state = rng["executor"]
+    loop.engine.generator._next_offset = int(
+        state.get("generator_offset", 0)
+    )
     loop.executor.vm_restarts = int(state["executor"]["vm_restarts"])
     loop.corpus.entries.clear()
     loop.provenance.restore(state["provenance"])
@@ -393,17 +401,21 @@ def restore_cluster_state(cluster, state: dict) -> int:
 
 
 def save_checkpoint(path: str | Path, state: dict) -> Path:
-    """Write ``state`` to ``path`` with an integrity digest."""
+    """Write ``state`` to ``path`` with an integrity digest.
+
+    The state is encoded once: the envelope is written around the very
+    body the digest covers.  :func:`load_checkpoint` re-encodes what it
+    parsed with sorted keys, so it accepts files in any key order.
+    """
     path = Path(path)
     body = json.dumps(state, sort_keys=True)
-    envelope = {
-        "format_version": _FORMAT_VERSION,
-        "digest": hashlib.blake2b(body.encode()).hexdigest(),
-        "state": state,
-    }
+    digest = hashlib.blake2b(body.encode()).hexdigest()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(envelope))
+    tmp.write_text(
+        f'{{"format_version": {_FORMAT_VERSION}, "digest": "{digest}", '
+        f'"state": {body}}}'
+    )
     tmp.replace(path)
     return path
 

@@ -10,6 +10,7 @@ The tentpole guarantees under test:
 - a campaign under faults degrades gracefully instead of collapsing.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -43,7 +44,7 @@ from repro.snowplow.campaign import (
     run_fault_tolerance_campaign,
 )
 from repro.snowplow.checkpointing import loop_state, restore_loop_state
-from repro.syzlang import ProgramGenerator
+from repro.syzlang import ProgramGenerator, serialize_program
 from repro.vclock import CostModel
 
 
@@ -81,6 +82,14 @@ def _stats_signature(stats):
         stats.corpus_write_retries,
         stats.corpus_size,
     )
+
+
+def _corpus_text(loop):
+    return [serialize_program(entry.program) for entry in loop.corpus.entries]
+
+
+def _entry_ids(loop):
+    return [entry.lineage.entry_id for entry in loop.corpus.entries]
 
 
 class TestFaultPlan:
@@ -371,6 +380,43 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_saved_file_loads_equal_to_its_input(self, tmp_path):
+        state = {
+            "zeta": {"b": [1, 2.5, None, "x"], "a": {"nested": True}},
+            "clock": {"now": 3.0},
+            "alpha": [],
+        }
+        path = save_checkpoint(tmp_path / "ck.json", state)
+        assert load_checkpoint(path) == state
+        envelope = json.loads(path.read_text())
+        assert list(envelope) == ["format_version", "digest", "state"]
+        assert envelope["state"] == state
+
+    def test_envelope_in_insertion_order_still_loads(self, tmp_path):
+        """Files whose envelope was dumped whole, the state in insertion
+        order, load: the digest covers the sorted-key encoding, whatever
+        order the file holds."""
+        state = {"zeta": 1, "clock": {"now": 3.0}, "alpha": [{"y": 2, "b": 1}]}
+        body = json.dumps(state, sort_keys=True)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "format_version": 7,
+            "digest": hashlib.blake2b(body.encode()).hexdigest(),
+            "state": state,
+        }))
+        assert load_checkpoint(path) == state
+
+    def test_one_character_edit_in_state_is_rejected(self, tmp_path):
+        path = save_checkpoint(
+            tmp_path / "ck.json", {"clock": {"now": 1.0}, "name": "abc"}
+        )
+        text = path.read_text()
+        edited = text.replace('"abc"', '"abd"')
+        assert len(edited) == len(text) and edited != text
+        path.write_text(edited)
+        with pytest.raises(CheckpointError, match="digest"):
+            load_checkpoint(path)
+
     def test_store_retention(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for now in (100, 200, 300):
@@ -418,7 +464,8 @@ class TestCheckpointResume:
 
     def test_resume_matches_uninterrupted_baseline_loop(self, kernel):
         """The plain (inference-free) loop has no in-flight state, so a
-        resumed run must equal the uninterrupted one exactly."""
+        resumed run must equal the uninterrupted one exactly: the same
+        stats, and the same corpus, program text and lineage ids too."""
         config = CampaignConfig(
             horizon=1800.0, runs=1, seed=29, seed_corpus_size=8,
             sample_interval=300.0,
@@ -438,6 +485,30 @@ class TestCheckpointResume:
         signature = _stats_signature(uninterrupted)
         resumed_signature = _stats_signature(resumed)
         assert signature == resumed_signature
+        assert _corpus_text(resumed_loop) == _corpus_text(continuous)
+        assert _entry_ids(resumed_loop) == _entry_ids(continuous)
+
+    def test_generator_offset_resumes_and_defaults_to_zero(self, kernel):
+        """The generator's pointer offset is checkpointed; a state saved
+        without it restores offset 0."""
+        config = CampaignConfig(
+            horizon=1800.0, runs=1, seed=29, seed_corpus_size=8,
+            sample_interval=300.0,
+        )
+        run_seed = derive_seed(29, "offset")
+        loop = self._seeded_loop(kernel, run_seed, config)
+        loop.run_until(600.0)
+        state = json.loads(json.dumps(loop_state(loop)))
+        assert state["generator_offset"] == loop.engine.generator._next_offset
+        assert state["generator_offset"] > 0
+        resumed = build_loop(kernel, None, run_seed, config, baseline=True)
+        restore_loop_state(resumed, state)
+        assert resumed.engine.generator._next_offset == state[
+            "generator_offset"
+        ]
+        del state["generator_offset"]
+        restore_loop_state(resumed, state)
+        assert resumed.engine.generator._next_offset == 0
 
     def test_resume_preserves_fault_schedule(self, kernel):
         """The injector's draw streams resume mid-sequence too."""

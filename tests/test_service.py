@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+import repro.service.orchestrator as orchestrator_module
+import repro.snowplow.campaign as campaign_module
 from repro.errors import CheckpointError
 from repro.service import (
     CampaignSpec,
@@ -174,27 +176,175 @@ def _tiny_checkpoint(path):
     return path
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``build_kernel`` (every kernel the orchestrator builds)
+    and ``campaign_seeds`` (every seed corpus a job makes)."""
+    counts = {"build_kernel": 0, "campaign_seeds": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(orchestrator_module, "build_kernel")
+    counting(campaign_module, "campaign_seeds")
+    return counts
+
+
+def _kernel(spec):
+    return build_kernel(spec.kernel, seed=spec.kernel_seed, size=spec.size)
+
+
+def _finish(runner):
+    """Drive a runner to its horizon, as the orchestrator does, and
+    return its result payload."""
+    runner.run_until(runner.horizon)
+    runner.run_out()
+    assert runner.done
+    return runner.finalize()
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def _exec_state(runner) -> str:
+    """A runner's checkpoint state without its diagnostic series: the
+    profiler's gauges count work in this process (a seeded build's
+    discarded seed corpus included) and stay out of every export."""
+    state = runner.state_dict()
+    registry = state["state"]["observer"]["registry"]
+    registry["series"] = [
+        series for series in registry["series"] if not series["diagnostic"]
+    ]
+    return _canonical(state)
+
+
 class TestJobRunner:
-    def test_model_job_builds_its_kernel_once(self, tmp_path, monkeypatch):
+    def test_model_job_builds_its_kernel_once(self, tmp_path, calls):
         """The PMM checkpoint loads against the job's own kernel table;
         materializing a model-mode job builds one kernel, not two."""
-        import repro.service.runner as runner_module
-
         path = _tiny_checkpoint(tmp_path / "pmm.npz")
-        builds = []
-
-        def counting_build(*args, **kwargs):
-            builds.append((args, kwargs))
-            return build_kernel(*args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "build_kernel", counting_build)
-        runner = JobRunner(CampaignSpec(
-            tenant="alice", size="tiny", mode="model", model=str(path),
+        server = ServiceServer(fleet_size=1, time_slice=90.0)
+        job_id = _submit(
+            server, "alice", mode="model", model=str(path),
             hours=0.1, seed_corpus=4,
-        ))
-        assert len(builds) == 1
+        )
+        runner = server.orchestrator._materialize(
+            server.orchestrator.get(job_id), {}
+        )
+        assert calls["build_kernel"] == 1
         assert runner.loop is not None
         assert runner.loop.pmm_localizer.model is not None
+
+    def test_runners_share_only_the_kernel(self):
+        """Two jobs handed one built kernel share it and nothing
+        mutable: executors, corpora, RNG streams, hubs and tiers are
+        each job's own, even for identical specs."""
+        spec = CampaignSpec(
+            tenant="alice", size="tiny", hours=0.1, seed_corpus=4,
+            workers=2, shards=2,
+        )
+        kernel = _kernel(spec)
+        first, second = JobRunner(spec, kernel), JobRunner(spec, kernel)
+        assert first.kernel is second.kernel is kernel
+        assert first.cluster.hub is not second.cluster.hub
+        assert first.cluster.tier is not second.cluster.tier
+        assert first.cluster.tier.service is not second.cluster.tier.service
+        assert first.observer is not second.observer
+        loops = [
+            worker.loop
+            for runner in (first, second)
+            for worker in runner.cluster.workers
+        ]
+        for attribute in (
+            lambda loop: loop.executor,
+            lambda loop: loop.corpus,
+            lambda loop: loop.rng,
+            lambda loop: loop.engine.rng,
+            lambda loop: loop.engine.generator.rng,
+            lambda loop: loop.executor._rng,
+        ):
+            objects = [attribute(loop) for loop in loops]
+            assert len({id(obj) for obj in objects}) == len(loops)
+        single = CampaignSpec(
+            tenant="bob", size="tiny", hours=0.1, seed_corpus=4,
+        )
+        one, two = JobRunner(single, kernel), JobRunner(single, kernel)
+        assert one.loop.executor is not two.loop.executor
+        assert one.loop.corpus is not two.loop.corpus
+        assert one.loop.rng is not two.loop.rng
+
+    @pytest.mark.parametrize("shape, restarts", [
+        (dict(seed=3), 0),
+        (dict(seed=4, workers=2, shards=2), 0),
+        # Worker 1 dies at 250 s of 360, after the checkpoint at 180 s.
+        (dict(
+            seed=5, workers=2, shards=2, heartbeat_deadline=60.0,
+            faults={"seed": 3, "windows": [["worker_kill:1", 250.0, 250.0]]},
+        ), 1),
+    ], ids=["loop", "sharded-cluster", "supervised-cluster"])
+    def test_unseeded_restore_equals_seeded_restore(
+        self, shape, restarts, calls
+    ):
+        """A runner built unseeded and restored is the runner a seeded
+        build plus restore gives: same state, same result.  It makes no
+        seed corpus, except once when the supervisor restarts a worker."""
+        spec = CampaignSpec(
+            tenant="alice", size="tiny", hours=0.1, seed_corpus=6, **shape
+        )
+        kernel = _kernel(spec)
+        source = JobRunner(spec, kernel)
+        source.run_until(0.5 * source.horizon)
+        state = json.loads(json.dumps(source.state_dict()))
+        seeded = JobRunner(spec, kernel)
+        seeded.restore(state)
+        made = calls["campaign_seeds"]
+        unseeded = JobRunner(spec, kernel, state)
+        assert calls["campaign_seeds"] == made
+        assert _exec_state(unseeded) == _exec_state(seeded)
+
+        seeded_result = _finish(seeded)
+        assert calls["campaign_seeds"] == made
+        result = _finish(unseeded)
+        assert calls["campaign_seeds"] == made + restarts
+        assert result.get("restarts", 0) == restarts
+        assert _canonical(result) == _canonical(seeded_result)
+        assert _exec_state(unseeded) == _exec_state(seeded)
+
+
+class TestSharedKernel:
+    def test_one_kernel_per_advance_and_seeds_only_at_admission(
+        self, tmp_path, calls
+    ):
+        """Three tenants on one kernel key, advanced and reloaded over
+        several rounds: one kernel build per ``/advance``, not one per
+        job, and a seed corpus per admission only, never per restore."""
+        server = ServiceServer(fleet_size=4, time_slice=90.0)
+        jobs = [
+            _submit(server, "alice", hours=0.1, seed=3, seed_corpus=6),
+            _submit(server, "bob", hours=0.1, seed=4, seed_corpus=6),
+            _submit(server, "carol", hours=0.1, seed=5, seed_corpus=6,
+                    workers=2, shards=2),
+        ]
+        advances = 0
+        for until in (90.0, 180.0, 270.0):
+            summary = _advance(server, until=until)
+            advances += 1
+            assert summary["running"] == jobs
+            assert calls["build_kernel"] == advances
+            save_service(tmp_path, server)
+            server = load_service(tmp_path)
+        assert calls["campaign_seeds"] == len(jobs)
+        summary = _advance(server)
+        assert summary["done"] == jobs
+        assert calls["build_kernel"] == advances + 1
+        assert calls["campaign_seeds"] == len(jobs)
 
 
 class TestModelSubmit:
